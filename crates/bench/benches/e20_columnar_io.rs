@@ -10,14 +10,22 @@
 //! since dictionary-encoded string columns are where schema-driven
 //! translation pays off on disk.
 //!
+//! It measures both shapes a `.jxc` file takes: one row group for a
+//! whole in-memory batch (`write_jxc`), and one row group per 1 MiB input
+//! chunk, the file an out-of-core `translate --input --out` writes. Each
+//! group carries its own dictionaries, so the second shape pays for
+//! values repeated across chunks once per group; the table states that
+//! size cost.
+//!
 //! Prints a timing table over 100k GitHub-style events, merges an `e20`
 //! section into `BENCH_translation.json` (E16 owns the rest of the
 //! file), and benches write/read under Criterion.
 
 use criterion::{black_box, Criterion, Throughput};
 use jsonx::core::{infer_collection, Equivalence};
+use jsonx::pipeline::DEFAULT_CHUNK_BYTES;
 use jsonx::syntax::{parse, to_string, to_string_pretty};
-use jsonx::translate::{read_jxc, write_jxc, Shredder};
+use jsonx::translate::{encode_group, read_jxc, write_jxc, JxcWriter, Shredder};
 use jsonx_bench::{banner, criterion};
 use jsonx_data::{json, Value};
 use jsonx_gen::Corpus;
@@ -103,6 +111,64 @@ fn main() {
         );
     }
 
+    // The row-grouped shape: documents cut where their NDJSON lines
+    // cross each 1 MiB chunk target, one group per chunk, as the
+    // out-of-core translate writes them.
+    let mut parts: Vec<&[Value]> = Vec::new();
+    let (mut start, mut chunk_bytes) = (0, 0);
+    for (i, d) in docs.iter().enumerate() {
+        chunk_bytes += to_string(d).len() + 1;
+        if chunk_bytes >= DEFAULT_CHUNK_BYTES {
+            parts.push(&docs[start..=i]);
+            (start, chunk_bytes) = (i + 1, 0);
+        }
+    }
+    if start < docs.len() {
+        parts.push(&docs[start..]);
+    }
+    let layout = shredder.stream().finish();
+    let part_batches: Vec<_> = parts
+        .iter()
+        .map(|part| {
+            let mut stream = shredder.stream();
+            for d in part.iter() {
+                stream.push(d).expect("records shred");
+            }
+            stream.finish()
+        })
+        .collect();
+    let t = Instant::now();
+    let mut grouped = Vec::new();
+    let mut writer = JxcWriter::new(&mut grouped, &layout).expect("Vec write");
+    for part in &part_batches {
+        writer.append(&encode_group(part)).expect("Vec write");
+    }
+    writer.finish().expect("Vec write");
+    let grouped_write_time = t.elapsed();
+    let t = Instant::now();
+    let grouped_file = read_jxc(&grouped).expect("grouped file reads back");
+    let grouped_read_time = t.elapsed();
+    assert_eq!(
+        grouped_file.batch, batch,
+        "row groups must concatenate exactly"
+    );
+    let grouped_write_mib_s = mib(grouped.len()) / grouped_write_time.as_secs_f64();
+    let grouped_read_mib_s = mib(grouped.len()) / grouped_read_time.as_secs_f64();
+    let group_cost = grouped.len() as f64 / bytes.len() as f64 - 1.0;
+    println!(
+        "
+row-grouped: {} groups of ~1 MiB input, {:.1} MiB ({:.1}% of NDJSON, \
+         +{:.1}% over one group); write {:.2?} ({:.0} MiB/s), read {:.2?} ({:.0} MiB/s)",
+        part_batches.len(),
+        mib(grouped.len()),
+        100.0 * grouped.len() as f64 / ndjson.len() as f64,
+        100.0 * group_cost,
+        grouped_write_time,
+        grouped_write_mib_s,
+        grouped_read_time,
+        grouped_read_mib_s
+    );
+
     // Merge the e20 section into BENCH_translation.json without
     // disturbing E16's keys.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_translation.json");
@@ -124,7 +190,13 @@ fn main() {
             "write_mib_per_sec": (write_mib_s as i64),
             "read_mib_per_sec": (read_mib_s as i64),
             "write_rows_per_sec": ((batch.rows as f64 / write_time.as_secs_f64()) as i64),
-            "read_rows_per_sec": ((batch.rows as f64 / read_time.as_secs_f64()) as i64)
+            "read_rows_per_sec": ((batch.rows as f64 / read_time.as_secs_f64()) as i64),
+            "row_groups": (part_batches.len() as i64),
+            "grouped_jxc_bytes": (grouped.len() as i64),
+            "grouped_jxc_vs_ndjson_percent": (100.0 * grouped.len() as f64 / ndjson.len() as f64),
+            "grouped_size_cost_percent": (100.0 * group_cost),
+            "grouped_write_mib_per_sec": (grouped_write_mib_s as i64),
+            "grouped_read_mib_per_sec": (grouped_read_mib_s as i64)
         }),
     );
     std::fs::write(path, to_string_pretty(&Value::Obj(report)) + "\n")

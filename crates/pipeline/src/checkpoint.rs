@@ -19,8 +19,11 @@
 //! * chunks complete in *any* order on the worker pool, but only the
 //!   contiguous prefix of successfully folded chunks is ever committed —
 //!   `chunk_done(seq=k)` is buffered until every seq `< k` committed;
-//! * each commit appends one framed record and fsyncs before the next,
-//!   so the journal on disk is always a valid prefix of the run;
+//! * each commit hands one payload to a [`Committer`] before the next:
+//!   a [`JournalWriter`] appends one framed record and fsyncs, so the
+//!   journal on disk is always a valid prefix of the run (a committer
+//!   that also writes output, such as translation's row groups, makes
+//!   that output durable before appending the record that points at it);
 //! * a chunk whose result cannot be encoded (or a poisoned chunk, which
 //!   never reports `chunk_done` at all) leaves a hole: nothing past it
 //!   commits, and the resumed run reprocesses from the hole.
@@ -50,14 +53,19 @@ pub struct ChunkMeta {
     /// The chunk's size in bytes — the resume cursor advances by exactly
     /// this much per committed chunk.
     pub bytes: usize,
+    /// CRC-32 of the chunk's input bytes, so a resume can check that the
+    /// input it skips is the input that was committed.
+    pub input_crc: u32,
 }
 
 /// Hook the engine calls once per successfully folded chunk, before the
 /// chunk's result is fused. Calls arrive in completion order (any
 /// order); implementations that need sequence order must buffer.
 pub trait CheckpointSink<Out>: Sync {
-    /// One chunk finished folding with result `out`.
-    fn chunk_done(&self, meta: &ChunkMeta, out: &Out);
+    /// One chunk finished folding with result `out`. The sink may move
+    /// what it keeps out of `out` (a row group written straight to a
+    /// file need not stay resident until the run fuses its results).
+    fn chunk_done(&self, meta: &ChunkMeta, out: &mut Out);
 }
 
 // ---------------------------------------------------------------------------
@@ -174,57 +182,79 @@ fn parse_frame(line: &str) -> Option<&str> {
 // Ordered committer
 // ---------------------------------------------------------------------------
 
-type Encode<Out> = dyn Fn(&ChunkMeta, &Out) -> Option<String> + Send + Sync;
+/// The in-order half of a commit: what [`ChunkJournal`] does with each
+/// prepared payload once every earlier chunk has committed.
+pub trait Committer: Send {
+    /// What a chunk's result is prepared into, off the commit lock.
+    type Payload: Send;
+    /// Makes one chunk's payload durable (or at least written), in
+    /// sequence order.
+    fn commit(&mut self, payload: Self::Payload) -> std::io::Result<()>;
+}
+
+impl Committer for JournalWriter {
+    type Payload = String;
+
+    fn commit(&mut self, payload: String) -> std::io::Result<()> {
+        self.append(&payload)
+    }
+}
+
+type Prepare<Out, P> = dyn Fn(&ChunkMeta, &mut Out) -> Option<P> + Send + Sync;
 type AfterCommit = dyn Fn(u64) + Send + Sync;
 
 /// The commit protocol: buffers out-of-order `chunk_done` reports and
-/// appends exactly the contiguous prefix of encodable chunk results to
-/// the journal, in sequence order, fsyncing each.
+/// commits exactly the contiguous prefix of prepared chunk results, in
+/// sequence order.
 ///
-/// The encoder returns the record payload for a chunk, or `None` for a
-/// result that must not commit (a halted shard, an unencodable value) —
-/// which latches the committer: nothing at or past that sequence number
-/// ever reaches the journal, so a resume reprocesses from there.
-/// I/O errors are latched too and surfaced by [`finish`](Self::finish);
-/// the engine's run continues (the in-memory result is still correct,
-/// only durability is lost).
-pub struct ChunkJournal<Out> {
-    inner: Mutex<CommitState>,
-    encode: Box<Encode<Out>>,
+/// Each chunk is handled in two steps. `prepare` runs on the worker
+/// that folded the chunk, in parallel with other workers, and turns its
+/// result into a payload — a journal record, an encoded row group — or
+/// `None` for a result that must not commit (a halted shard, an
+/// unencodable value), which latches the committer: nothing at or past
+/// that sequence number is ever committed, so a resume reprocesses from
+/// there. The [`Committer`] then takes the payloads one at a time in
+/// sequence order under a lock (for a [`JournalWriter`]: append and
+/// fsync). I/O errors are latched too and surfaced by
+/// [`finish`](Self::finish); the engine's run continues (the in-memory
+/// result is still correct, only the committed output is lost).
+pub struct ChunkJournal<Out, C: Committer = JournalWriter> {
+    inner: Mutex<CommitState<C>>,
+    prepare: Box<Prepare<Out, C::Payload>>,
     after_commit: Option<Box<AfterCommit>>,
 }
 
-struct CommitState {
-    writer: JournalWriter,
+struct CommitState<C: Committer> {
+    committer: C,
     /// Completed-but-not-yet-committed chunk payloads, keyed by seq.
-    pending: BTreeMap<usize, Option<String>>,
+    pending: BTreeMap<usize, Option<C::Payload>>,
     /// The next sequence number eligible to commit.
     next: usize,
-    /// Total records committed through this committer.
+    /// Total payloads committed through this committer.
     committed: u64,
     /// Set when an unencodable result closed the journal.
     stopped: bool,
     error: Option<std::io::Error>,
 }
 
-impl<Out> ChunkJournal<Out> {
-    /// Wraps `writer`, committing chunks from sequence number
+impl<Out, C: Committer> ChunkJournal<Out, C> {
+    /// Wraps `committer`, committing chunks from sequence number
     /// `start_seq` upward (the resumed prefix is `0..start_seq`).
     pub fn new(
-        writer: JournalWriter,
+        committer: C,
         start_seq: usize,
-        encode: impl Fn(&ChunkMeta, &Out) -> Option<String> + Send + Sync + 'static,
-    ) -> ChunkJournal<Out> {
+        prepare: impl Fn(&ChunkMeta, &mut Out) -> Option<C::Payload> + Send + Sync + 'static,
+    ) -> ChunkJournal<Out, C> {
         ChunkJournal {
             inner: Mutex::new(CommitState {
-                writer,
+                committer,
                 pending: BTreeMap::new(),
                 next: start_seq,
                 committed: 0,
                 stopped: false,
                 error: None,
             }),
-            encode: Box::new(encode),
+            prepare: Box::new(prepare),
             after_commit: None,
         }
     }
@@ -235,23 +265,26 @@ impl<Out> ChunkJournal<Out> {
     pub fn with_after_commit(
         mut self,
         hook: impl Fn(u64) + Send + Sync + 'static,
-    ) -> ChunkJournal<Out> {
+    ) -> ChunkJournal<Out, C> {
         self.after_commit = Some(Box::new(hook));
         self
     }
 
-    /// Consumes the committer: the journal writer (for appending
-    /// post-run markers) plus the number of records committed, or the
+    /// Consumes the committer: the [`Committer`] (for appending
+    /// post-run markers) plus the number of chunks committed, or the
     /// first I/O error a commit hit.
-    pub fn finish(self) -> std::io::Result<(JournalWriter, u64)> {
-        let inner = self.inner.into_inner().unwrap();
+    pub fn finish(self) -> std::io::Result<(C, u64)> {
+        let inner = self
+            .inner
+            .into_inner()
+            .expect("a commit panicked while holding the journal lock");
         match inner.error {
             Some(err) => Err(err),
-            None => Ok((inner.writer, inner.committed)),
+            None => Ok((inner.committer, inner.committed)),
         }
     }
 
-    fn drain(&self, inner: &mut CommitState) {
+    fn drain(&self, inner: &mut CommitState<C>) {
         while !inner.stopped && inner.error.is_none() {
             let Some(entry) = inner.pending.remove(&inner.next) else {
                 return;
@@ -260,7 +293,7 @@ impl<Out> ChunkJournal<Out> {
                 inner.stopped = true;
                 return;
             };
-            if let Err(err) = inner.writer.append(&payload) {
+            if let Err(err) = inner.committer.commit(payload) {
                 inner.error = Some(err);
                 return;
             }
@@ -273,13 +306,16 @@ impl<Out> ChunkJournal<Out> {
     }
 }
 
-impl<Out> CheckpointSink<Out> for ChunkJournal<Out>
+impl<Out, C: Committer> CheckpointSink<Out> for ChunkJournal<Out, C>
 where
     Out: Send,
 {
-    fn chunk_done(&self, meta: &ChunkMeta, out: &Out) {
-        let payload = (self.encode)(meta, out);
-        let mut inner = self.inner.lock().unwrap();
+    fn chunk_done(&self, meta: &ChunkMeta, out: &mut Out) {
+        let payload = (self.prepare)(meta, out);
+        let mut inner = self
+            .inner
+            .lock()
+            .expect("a commit panicked while holding the journal lock");
         if inner.stopped || inner.error.is_some() || meta.seq < inner.next {
             return;
         }
@@ -365,11 +401,12 @@ mod tests {
             first_line: seq * 10,
             lines: 10,
             bytes: 100,
+            input_crc: 0,
         };
-        journal.chunk_done(&meta(2), &"c".to_string());
-        journal.chunk_done(&meta(0), &"a".to_string());
+        journal.chunk_done(&meta(2), &mut "c".to_string());
+        journal.chunk_done(&meta(0), &mut "a".to_string());
         assert_eq!(read_journal(&path).unwrap().records, vec!["0:a"]);
-        journal.chunk_done(&meta(1), &"b".to_string());
+        journal.chunk_done(&meta(1), &mut "b".to_string());
         let (_, committed) = journal.finish().unwrap();
         assert_eq!(committed, 3);
         assert_eq!(
@@ -384,7 +421,7 @@ mod tests {
         let path = tmp("latched");
         let writer = JournalWriter::create(&path).unwrap();
         let journal: ChunkJournal<Option<String>> =
-            ChunkJournal::new(writer, 0, |meta, out: &Option<String>| {
+            ChunkJournal::new(writer, 0, |meta, out: &mut Option<String>| {
                 out.as_ref().map(|s| format!("{}:{s}", meta.seq))
             });
         let meta = |seq| ChunkMeta {
@@ -392,10 +429,11 @@ mod tests {
             first_line: 0,
             lines: 1,
             bytes: 1,
+            input_crc: 0,
         };
-        journal.chunk_done(&meta(0), &Some("a".to_string()));
-        journal.chunk_done(&meta(1), &None);
-        journal.chunk_done(&meta(2), &Some("c".to_string()));
+        journal.chunk_done(&meta(0), &mut Some("a".to_string()));
+        journal.chunk_done(&meta(1), &mut None);
+        journal.chunk_done(&meta(2), &mut Some("c".to_string()));
         let (_, committed) = journal.finish().unwrap();
         assert_eq!(committed, 1);
         assert_eq!(read_journal(&path).unwrap().records, vec!["0:a"]);
@@ -415,10 +453,11 @@ mod tests {
             first_line: 0,
             lines: 1,
             bytes: 1,
+            input_crc: 0,
         };
-        journal.chunk_done(&meta(0), &"a".to_string());
-        journal.chunk_done(&meta(2), &"c".to_string());
-        journal.chunk_done(&meta(3), &"d".to_string());
+        journal.chunk_done(&meta(0), &mut "a".to_string());
+        journal.chunk_done(&meta(2), &mut "c".to_string());
+        journal.chunk_done(&meta(3), &mut "d".to_string());
         let (_, committed) = journal.finish().unwrap();
         assert_eq!(committed, 1);
         std::fs::remove_file(&path).unwrap();
@@ -431,16 +470,17 @@ mod tests {
         let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
         let seen2 = seen.clone();
         let journal: ChunkJournal<String> =
-            ChunkJournal::new(writer, 0, |_, out: &String| Some(out.clone()))
+            ChunkJournal::new(writer, 0, |_, out: &mut String| Some(out.clone()))
                 .with_after_commit(move |n| seen2.lock().unwrap().push(n));
         let meta = |seq| ChunkMeta {
             seq,
             first_line: 0,
             lines: 1,
             bytes: 1,
+            input_crc: 0,
         };
-        journal.chunk_done(&meta(1), &"b".to_string());
-        journal.chunk_done(&meta(0), &"a".to_string());
+        journal.chunk_done(&meta(1), &mut "b".to_string());
+        journal.chunk_done(&meta(0), &mut "a".to_string());
         journal.finish().unwrap();
         assert_eq!(*seen.lock().unwrap(), vec![1, 2]);
         std::fs::remove_file(&path).unwrap();
@@ -457,11 +497,12 @@ mod tests {
             first_line: 0,
             lines: 1,
             bytes: 1,
+            input_crc: 0,
         };
         // Stale reports for already-committed chunks are ignored.
-        journal.chunk_done(&meta(0), &"stale".to_string());
-        journal.chunk_done(&meta(2), &"c".to_string());
-        journal.chunk_done(&meta(3), &"d".to_string());
+        journal.chunk_done(&meta(0), &mut "stale".to_string());
+        journal.chunk_done(&meta(2), &mut "c".to_string());
+        journal.chunk_done(&meta(3), &mut "d".to_string());
         let (_, committed) = journal.finish().unwrap();
         assert_eq!(committed, 2);
         assert_eq!(read_journal(&path).unwrap().records, vec!["2:c", "3:d"]);

@@ -37,6 +37,7 @@ use crate::chunk::{CHUNKS_PER_WORKER, DEFAULT_CHUNK_BYTES};
 use crate::options::{PipelineOptions, SliceOptions};
 use crate::report::{ShardPanic, WorkerTiming};
 use crate::shard::shard_lines;
+use jsonx_data::crc32;
 use std::borrow::Cow;
 use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -354,7 +355,7 @@ pub fn run_source_controlled<S: ChunkSource, F: ShardFold<str>>(
                             (fold.take(st), lines)
                         }));
                         match caught {
-                            Ok((out, lines)) => {
+                            Ok((mut out, lines)) => {
                                 if let Some(sink) = control.sink {
                                     sink.chunk_done(
                                         &ChunkMeta {
@@ -362,8 +363,9 @@ pub fn run_source_controlled<S: ChunkSource, F: ShardFold<str>>(
                                             first_line,
                                             lines,
                                             bytes: chunk.text.len(),
+                                            input_crc: crc32(chunk.text.as_bytes()),
                                         },
-                                        &out,
+                                        &mut out,
                                     );
                                 }
                                 acct.records += lines;

@@ -58,7 +58,7 @@ mod report;
 mod shard;
 
 pub use checkpoint::{
-    read_journal, CheckpointSink, ChunkJournal, ChunkMeta, JournalRead, JournalWriter,
+    read_journal, CheckpointSink, ChunkJournal, ChunkMeta, Committer, JournalRead, JournalWriter,
 };
 pub use chunk::{
     Chunk, ChunkError, ChunkOptions, ChunkSource, ReaderChunks, SliceChunks, DEFAULT_CHUNK_BYTES,

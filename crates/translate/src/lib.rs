@@ -40,8 +40,8 @@ pub mod sink;
 pub use avro::{AvroCodec, AvroError, AvroField, AvroSchema};
 pub use columnar::{ColumnData, ColumnarBatch, ShredError, ShredStream, Shredder};
 pub use jxc::{
-    flatten_rows, read_jxc, read_jxc_file, rows_as_values, write_jxc, write_jxc_file, Encoding,
-    JxcColumnInfo, JxcError, JxcFile,
+    encode_group, flatten_rows, read_jxc, read_jxc_file, rows_as_values, write_jxc, write_jxc_file,
+    Encoding, GroupEntry, JxcColumnInfo, JxcError, JxcFile, JxcGroupInfo, JxcWriter, RowGroup,
 };
 pub use relational::{normalize, Relation};
 pub use sink::{OutputSink, SinkReport};

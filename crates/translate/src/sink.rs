@@ -17,7 +17,7 @@ use crate::relational::normalize;
 use jsonx_core::JType;
 use jsonx_data::Value;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// What a sink produced: the document body for stdout and a summary
 /// sentence for the status line (empty when the body says it all).
@@ -121,17 +121,50 @@ impl OutputSink {
         let OutputSink::Columnar { out } = self else {
             return Err("only the columnar target can consume a shredded batch".into());
         };
-        let mut summary = format!("{} columns x {} rows", batch.columns.len(), batch.rows);
-        if let Some(path) = out {
-            let bytes = write_jxc_file(path, batch)
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
-            write!(summary, ", {bytes} bytes -> {}", path.display())
-                .expect("writing to String cannot fail");
+        let written = match out {
+            Some(path) => Some((
+                write_jxc_file(path, batch)
+                    .map_err(|e| format!("writing {}: {e}", path.display()))?,
+                path.as_path(),
+            )),
+            None => None,
+        };
+        Ok(columnar_report(batch, batch.rows as u64, written))
+    }
+
+    /// The `--out` path of a columnar sink: where an out-of-core
+    /// translation streams its row groups itself instead of handing the
+    /// sink a batch.
+    pub fn jxc_out(&self) -> Option<&Path> {
+        match self {
+            OutputSink::Columnar { out } => out.as_deref(),
+            _ => None,
         }
-        Ok(SinkReport {
-            body: batch.schema_string(),
-            summary,
-        })
+    }
+
+    /// The report for `rows` rows under `layout`'s columns that a
+    /// streaming translation already wrote to [`jxc_out`](Self::jxc_out)
+    /// as a `bytes`-byte file — the same body and summary
+    /// [`consume_batch`](Self::consume_batch) gives for the same batch.
+    pub fn written_report(
+        layout: &ColumnarBatch,
+        rows: u64,
+        bytes: u64,
+        path: &Path,
+    ) -> SinkReport {
+        columnar_report(layout, rows, Some((bytes, path)))
+    }
+}
+
+fn columnar_report(layout: &ColumnarBatch, rows: u64, written: Option<(u64, &Path)>) -> SinkReport {
+    let mut summary = format!("{} columns x {rows} rows", layout.columns.len());
+    if let Some((bytes, path)) = written {
+        write!(summary, ", {bytes} bytes -> {}", path.display())
+            .expect("writing to String cannot fail");
+    }
+    SinkReport {
+        body: layout.schema_string(),
+        summary,
     }
 }
 

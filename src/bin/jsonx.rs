@@ -48,12 +48,13 @@ use jsonx::{
     infer_streaming_parallel, infer_streaming_source, infer_validate_streaming_decoded,
     infer_validate_streaming_guarded, infer_validate_streaming_parallel,
     infer_validate_streaming_source, translate_streaming_decoded, translate_streaming_guarded,
-    translate_streaming_guarded_fast, translate_streaming_journaled, translate_streaming_parallel,
-    translate_streaming_parallel_fast, translate_streaming_source, validate_streaming_decoded,
-    validate_streaming_guarded, validate_streaming_guarded_fast, validate_streaming_journaled,
-    validate_streaming_parallel, validate_streaming_parallel_fast, validate_streaming_source,
-    write_quarantine_file, ChunkOptions, CsvDecoder, ErrorPolicy, FaultOptions, JournalControl,
-    LineVerdict, ParseLimits, RunReport, StreamError, StreamSource, StreamingOptions,
+    translate_streaming_guarded_fast, translate_streaming_parallel,
+    translate_streaming_parallel_fast, translate_streaming_source, translate_streaming_to_jxc,
+    validate_streaming_decoded, validate_streaming_guarded, validate_streaming_guarded_fast,
+    validate_streaming_journaled, validate_streaming_parallel, validate_streaming_parallel_fast,
+    validate_streaming_source, write_quarantine_file, ChunkOptions, CsvDecoder, ErrorPolicy,
+    FaultOptions, JournalControl, LineVerdict, ParseLimits, RunReport, StreamError, StreamSource,
+    StreamingOptions,
 };
 use std::io::{BufRead, Read, Write as _};
 use std::process::ExitCode;
@@ -1642,28 +1643,40 @@ fn cmd_translate(opts: &Opts) -> Result<(), CliError> {
                  re-read — pass a regular file",
             ));
         }
-        if let Some((journal, resume)) = &checkpoint {
-            // Journaled translation: both passes commit into one journal
-            // (the inferred type is sealed between them), so a resume
-            // lands in whichever phase the run died in.
-            let input = input.as_deref().expect("checkpoint_cli verified --input");
+        if let (Some(input), Some(out)) = (input.as_deref(), sink.jxc_out()) {
+            // Row-grouped output: each chunk's rows are encoded on the
+            // worker that shredded them and appended to the `.jxc` in
+            // chunk order, so no merged batch is ever resident. With
+            // --checkpoint both passes commit into one journal (the
+            // inferred type is sealed between them), so a resume lands
+            // in whichever phase the run died in.
             let fault = fault.unwrap_or_default();
-            let ctrl = journal_control(std::path::Path::new(journal), *resume);
-            let (_ty, batch, report) = translate_streaming_journaled(
+            let journal = checkpoint
+                .as_ref()
+                .map(|(journal, resume)| journal_control(std::path::Path::new(journal), *resume));
+            let (written, report) = translate_streaming_to_jxc(
                 std::path::Path::new(input),
                 Equivalence::Kind,
                 sopts,
                 chunk,
                 fault,
                 fast_parse_enabled(opts),
-                &ctrl,
+                out,
+                journal.as_ref(),
             )
             .map_err(stream_err)?;
             let suffix = finish_guarded_run(opts, &report)?;
-            let out = sink.consume_batch(&batch)?;
+            let layout = Shredder::from_type(&written.ty).stream().finish();
+            let out = OutputSink::written_report(&layout, written.rows, written.bytes, out);
             println!("{}", out.body);
             eprintln!("» {} (streaming){suffix}", out.summary);
             return Ok(());
+        }
+        if checkpoint.is_some() {
+            return Err(CliError::usage(
+                "translate --checkpoint needs --out FILE.jxc: the journal records where \
+                 each chunk's row group lands in that file",
+            ));
         }
         let fault = fault.unwrap_or_default();
         let mut storage = String::new();
@@ -1766,7 +1779,19 @@ fn cmd_cat(opts: &Opts) -> Result<(), CliError> {
         }
     }
     out.finish()?;
-    for info in &file.columns {
+    for (c, info) in file.columns.iter().enumerate() {
+        // Row groups encode a column independently; name every encoding
+        // the file used for it, in order of first use.
+        let mut encodings: Vec<&str> = Vec::new();
+        for group in &file.groups {
+            let label = group.columns[c].encoding.label();
+            if !encodings.contains(&label) {
+                encodings.push(label);
+            }
+        }
+        if encodings.is_empty() {
+            encodings.push(info.encoding.label());
+        }
         let detail = match (info.dict_len, info.list_items) {
             (Some(d), Some(items)) => format!(" ({items} items, dict {d})"),
             (Some(d), None) => format!(" (dict {d})"),
@@ -1777,16 +1802,17 @@ fn cmd_cat(opts: &Opts) -> Result<(), CliError> {
             "» {}: {} {}{detail}, {}/{} valid, {} bytes",
             info.path,
             info.type_name,
-            info.encoding.label(),
+            encodings.join("+"),
             info.valid_count,
             file.batch.rows,
             info.block_bytes
         );
     }
     eprintln!(
-        "» {} columns x {} rows, showing {}",
+        "» {} columns x {} rows in {} row groups, showing {}",
         file.columns.len(),
         file.batch.rows,
+        file.groups.len(),
         rows.len()
     );
     Ok(())

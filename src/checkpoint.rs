@@ -1,5 +1,6 @@
 //! Crash-safe journaled runs: durable chunk-commit journals and
-//! `--resume` for the out-of-core streaming stages.
+//! `--resume` for the out-of-core streaming stages, plus translation
+//! straight into a row-grouped `.jxc` file.
 //!
 //! A journaled run writes one CRC-framed, fsync'd record per committed
 //! chunk to a [journal](jsonx_pipeline::JournalWriter) *before* the
@@ -14,20 +15,27 @@
 //! uninterrupted run at any worker count.
 //!
 //! What goes in a journal record is the chunk's **entire observable
-//! effect**: the stage output (an inferred [`JType`], a verdict vector,
-//! a columnar batch), the record count, and the full rejection account
-//! (including raw quarantined lines when the run keeps them). Final
-//! artifacts — stdout verdicts, the quarantine sidecar, the `.jxc` file
-//! — are only written at end-of-run, exactly like an unjournaled run,
-//! so the journal is the *only* durable state a resume needs.
+//! effect** — the record count, the full rejection account (including
+//! raw quarantined lines when the run keeps them) and the stage output
+//! (an inferred [`JType`], a verdict vector) — plus the CRC-32 of the
+//! chunk's input bytes. Translation is the exception for the output:
+//! its chunks become row groups of the `.jxc` file itself, written and
+//! `sync_data`'d before the record that points at them (offset, length,
+//! CRC, rows) is appended, so the journal never holds a second copy of
+//! the output. Other final artifacts — stdout verdicts, the quarantine
+//! sidecar — are only written at end-of-run, exactly like an unjournaled
+//! run.
 //!
 //! Torn tails are expected, not fatal: [`read_journal`] stops at the
 //! first incomplete or CRC-failing record, and the resume path truncates
 //! the file back to the intact prefix before appending
-//! ([`JournalWriter::resume`]). A record damaged *before* the tail — or
-//! a header that does not match the current invocation — means the
-//! journal belongs to a different run (input replaced, options changed,
-//! incompatible version) and the resume refuses instead of guessing.
+//! ([`JournalWriter::resume`]); a resumed translation likewise checks
+//! every committed row group and cuts the `.jxc` after the last one
+//! ([`JxcWriter::resume`]). A record damaged *before* the tail, a header
+//! that does not match the current invocation, or committed input bytes
+//! whose CRC no longer matches mean the journal belongs to a different
+//! run (input replaced or edited, options changed, incompatible
+//! version) and the resume refuses instead of guessing.
 //!
 //! Translation journals both of its passes into one file, phase-tagged,
 //! with a `type` marker record sealing phase 1 — so a kill during either
@@ -36,28 +44,32 @@
 
 use crate::fastpath::{FastJsonDecoder, FastPlan};
 use crate::streaming::{
-    seal_stage_outcome, FaultFold, FaultOptions, InferStage, LineVerdict, RecordStage, ShardYield,
-    StreamError, StreamingOptions, TranslateStage, ValidateStage,
+    infer_streaming_source, seal_stage_outcome, FaultFold, FaultOptions, InferStage, LineVerdict,
+    RecordStage, ShardYield, StreamError, StreamSource, StreamingOptions, TranslateStage,
+    ValidateStage,
 };
 use jsonx_core::{parse_type, print_type, Equivalence, JType, PrintOptions};
-use jsonx_data::{Number, Object, Value};
+use jsonx_data::{crc32_update, Number, Object, Value};
 use jsonx_pipeline::{
-    read_journal, run_source_controlled, ChunkJournal, ChunkMeta, ChunkOptions, ErrorSummary,
-    JournalWriter, ReaderChunks, RecordDiagnostic, RunControl, RunReport, DEFAULT_CHUNK_BYTES,
+    read_journal, run_source_controlled, ChunkJournal, ChunkMeta, ChunkOptions, Committer,
+    ErrorPolicy, ErrorSummary, JournalWriter, ReaderChunks, RecordDiagnostic, RunControl,
+    RunReport, DEFAULT_CHUNK_BYTES,
 };
 use jsonx_schema::{CompiledSchema, ValidatorOptions};
-use jsonx_syntax::parse;
-use jsonx_translate::{read_jxc, write_jxc, ColumnarBatch, Shredder};
+use jsonx_syntax::{parse, ParseLimits};
+use jsonx_translate::{encode_group, ColumnarBatch, GroupEntry, JxcWriter, RowGroup, Shredder};
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{BufReader, Seek, SeekFrom};
+use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Journal format version — bumped whenever record shapes change, so a
-/// stale journal refuses cleanly instead of decoding garbage.
-const JOURNAL_VERSION: i64 = 1;
+/// stale journal refuses cleanly instead of decoding garbage. Version 2:
+/// canonical header config, input CRCs in chunk records, translation
+/// records pointing at `.jxc` row groups.
+const JOURNAL_VERSION: i64 = 2;
 
 /// How a journaled entry point finds its journal and reacts to stop
 /// requests.
@@ -101,6 +113,16 @@ fn num(n: usize) -> Value {
     Value::Num(Number::Int(n as i64))
 }
 
+fn num64(n: u64) -> Value {
+    Value::Num(Number::Int(
+        i64::try_from(n).expect("journal integers fit in i64"),
+    ))
+}
+
+fn opt_num(n: Option<usize>) -> Value {
+    n.map_or(Value::Null, num)
+}
+
 fn obj(entries: Vec<(&str, Value)>) -> Value {
     let mut o = Object::new();
     for (k, v) in entries {
@@ -114,10 +136,17 @@ fn get_usize(v: &Value, key: &str) -> Option<usize> {
     usize::try_from(n).ok()
 }
 
+fn get_u64(v: &Value, key: &str) -> Option<u64> {
+    u64::try_from(v.get(key)?.as_i64()?).ok()
+}
+
+fn get_u32(v: &Value, key: &str) -> Option<u32> {
+    u32::try_from(v.get(key)?.as_i64()?).ok()
+}
+
 fn get_str<'v>(v: &'v Value, key: &str) -> Option<&'v str> {
     v.get(key)?.as_str()
 }
-
 /// Re-interns a diagnostic kind label read back from a journal.
 ///
 /// [`RecordDiagnostic::kind`] is `&'static str` in memory; labels are a
@@ -192,24 +221,6 @@ fn decode_errors(v: &Value) -> Option<ErrorSummary> {
     })
 }
 
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-fn hex_decode(text: &str) -> Option<Vec<u8>> {
-    if !text.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..text.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(text.get(i..i + 2)?, 16).ok())
-        .collect()
-}
-
 /// How one stage output round-trips through a journal record. Plain
 /// function pointers so the commit closure handed to [`ChunkJournal`]
 /// stays `'static` without capturing borrowed stage state.
@@ -262,31 +273,73 @@ fn validate_codec() -> OutCodec<Vec<(usize, LineVerdict)>> {
     }
 }
 
-fn translate_codec() -> OutCodec<ColumnarBatch> {
-    OutCodec {
-        // A chunk's batch is journaled as its checksummed `.jxc` image;
-        // decoding reconstructs the identical batch (layout included),
-        // and batches append in seq order exactly like live merging.
-        encode: |batch| Some(s(hex_encode(&write_jxc(batch)))),
-        decode: |v| {
-            let bytes = hex_decode(v.as_str()?)?;
-            read_jxc(&bytes).ok().map(|file| file.batch)
-        },
-    }
+/// A translation chunk record's output: where its row group landed.
+fn group_value(g: &GroupEntry) -> Value {
+    obj(vec![
+        ("offset", num64(g.offset)),
+        ("len", num64(g.len)),
+        ("rows", num64(g.rows)),
+        ("crc", num64(u64::from(g.crc))),
+    ])
+}
+
+fn decode_group(v: &Value) -> Option<GroupEntry> {
+    Some(GroupEntry {
+        offset: get_u64(v, "offset")?,
+        len: get_u64(v, "len")?,
+        rows: get_u64(v, "rows")?,
+        crc: get_u32(v, "crc")?,
+    })
 }
 
 // ---------------------------------------------------------------------------
-// Journal session: header validation, prefix decoding
+// Journal session: header validation, input identity, prefix decoding
 // ---------------------------------------------------------------------------
 
-fn header_record(stage: &str, chunk_bytes: usize, input_bytes: u64, config: &str) -> Value {
+/// The fault options, field by field under stable names — so renaming a
+/// Rust field or variant cannot make a valid journal unresumable.
+fn fault_config(fault: &FaultOptions) -> Vec<(&'static str, Value)> {
+    let (policy, max_errors) = match fault.policy {
+        ErrorPolicy::FailFast => ("fail-fast", None),
+        ErrorPolicy::Skip { max_errors } => ("skip", max_errors),
+        ErrorPolicy::Collect { max_errors } => ("collect", Some(max_errors)),
+    };
+    let ParseLimits {
+        max_depth,
+        max_input_bytes,
+        max_string_bytes,
+    } = fault.limits;
+    vec![
+        ("policy", s(policy)),
+        ("max_errors", opt_num(max_errors)),
+        ("keep_rejects", Value::Bool(fault.keep_rejects)),
+        ("max_depth", num(max_depth)),
+        ("max_input_bytes", opt_num(max_input_bytes)),
+        ("max_string_bytes", opt_num(max_string_bytes)),
+    ]
+}
+
+fn equiv_config(equiv: Equivalence) -> (&'static str, Value) {
+    let name = match equiv {
+        Equivalence::Kind => "kind",
+        Equivalence::Label => "label",
+    };
+    ("equiv", s(name))
+}
+
+fn header_record(
+    stage: &str,
+    chunk_bytes: usize,
+    input_bytes: u64,
+    config: Vec<(&str, Value)>,
+) -> Value {
     obj(vec![
         ("kind", s("header")),
         ("v", Value::Num(Number::Int(JOURNAL_VERSION))),
         ("stage", s(stage)),
         ("chunk_bytes", num(chunk_bytes)),
-        ("input_bytes", num(input_bytes as usize)),
-        ("config", s(config)),
+        ("input_bytes", num64(input_bytes)),
+        ("config", obj(config)),
     ])
 }
 
@@ -300,10 +353,11 @@ fn journal_err(context: &str, e: impl std::fmt::Display) -> StreamError {
 
 /// Opens the journal for this run: fresh runs truncate and write the
 /// header; resumes read the intact prefix back, verify the header
-/// matches this invocation, cut any torn tail, and return the committed
-/// records for replay.
+/// matches this invocation and the committed input bytes are unchanged,
+/// cut any torn tail, and return the committed records for replay.
 fn open_session(
     ctrl: &JournalControl<'_>,
+    input: &Path,
     header: Value,
 ) -> Result<(JournalWriter, Vec<Value>), StreamError> {
     let path = ctrl.journal;
@@ -331,12 +385,12 @@ fn open_session(
         })?;
         records.push(value);
     }
-    let mut writer = JournalWriter::resume(path, read.valid_bytes)
-        .map_err(|e| journal_err("truncating torn tail", e))?;
     match records.first() {
         // A journal that died before its header committed holds no
         // progress; restart it as a fresh run.
         None => {
+            let mut writer = JournalWriter::resume(path, read.valid_bytes)
+                .map_err(|e| journal_err("truncating torn tail", e))?;
             writer
                 .append(&header.to_json_string())
                 .map_err(|e| journal_err("writing header", e))?;
@@ -344,8 +398,20 @@ fn open_session(
         }
         Some(found) if *found == header => {
             records.remove(0);
+            verify_input(input, &records)?;
+            let writer = JournalWriter::resume(path, read.valid_bytes)
+                .map_err(|e| journal_err("truncating torn tail", e))?;
             Ok((writer, records))
         }
+        Some(found) if found.get("v") != header.get("v") => Err(StreamError::Input(format!(
+            "--resume: checkpoint journal {} has format version {}, but this build \
+             resumes only version {JOURNAL_VERSION}; pass a fresh --checkpoint path \
+             or drop --resume",
+            path.display(),
+            found
+                .get("v")
+                .map_or("(none)".to_string(), Value::to_json_string),
+        ))),
         Some(found) => Err(StreamError::Input(format!(
             "--resume: checkpoint journal {} was written by a different run \
              (expected header {header}, found {found}); \
@@ -353,6 +419,50 @@ fn open_session(
             path.display()
         ))),
     }
+}
+
+/// Re-reads the committed prefix of `input` (sequentially, no parsing)
+/// and checks each committed chunk's bytes against the CRC-32 its record
+/// carries: a resume must skip exactly the bytes that were committed,
+/// not same-length bytes with different content.
+fn verify_input(input: &Path, records: &[Value]) -> Result<(), StreamError> {
+    let bad = |what: &str| journal_err("committed chunk records", what);
+    // Both phases of a translation chunk the same bytes the same way, so
+    // the longest committed list covers every other one.
+    let mut chunks: Vec<(usize, u32)> = Vec::new();
+    for phase in [1, 2] {
+        for (i, rec) in phase_chunks(records, phase).into_iter().enumerate() {
+            let chunk = get_usize(rec, "bytes")
+                .zip(get_u32(rec, "crc"))
+                .ok_or_else(|| bad("a record lacks its input size or CRC"))?;
+            match chunks.get(i) {
+                Some(seen) if *seen != chunk => return Err(bad("the two phases disagree")),
+                Some(_) => {}
+                None => chunks.push(chunk),
+            }
+        }
+    }
+    let mut file = File::open(input).map_err(|e| input_err(format!("{}: {e}", input.display())))?;
+    let mut buf = vec![0u8; 64 * 1024];
+    for (seq, (bytes, crc)) in chunks.into_iter().enumerate() {
+        let mut left = bytes;
+        let mut state = 0xFFFF_FFFF;
+        while left > 0 {
+            let n = left.min(buf.len());
+            file.read_exact(&mut buf[..n])
+                .map_err(|e| input_err(format!("{}: {e}", input.display())))?;
+            state = crc32_update(state, &buf[..n]);
+            left -= n;
+        }
+        if state ^ 0xFFFF_FFFF != crc {
+            return Err(StreamError::Input(format!(
+                "--resume: {} changed since chunk {seq} was committed (its bytes no longer \
+                 match the journal's CRC); pass a fresh --checkpoint path or drop --resume",
+                input.display()
+            )));
+        }
+    }
+    Ok(())
 }
 
 fn phase_chunks(records: &[Value], phase: usize) -> Vec<&Value> {
@@ -373,58 +483,100 @@ fn type_marker(records: &[Value]) -> Option<&str> {
         .and_then(Value::as_str)
 }
 
-fn encode_chunk_record<T>(
-    phase: usize,
-    encode: fn(&T) -> Option<Value>,
-    meta: &ChunkMeta,
-    y: &ShardYield<T>,
-) -> Option<String> {
-    // A halted chunk stopped feeding mid-way; its partial output must
-    // never become durable. Returning `None` latches the committer, so
-    // nothing after this chunk commits either.
+/// A chunk record's fields except its stage output, or `None` for a
+/// halted chunk: it stopped feeding mid-way, so its partial output must
+/// never become durable (and `None` latches the committer, so nothing
+/// after it commits either).
+fn chunk_fields<T>(phase: usize, meta: &ChunkMeta, y: &ShardYield<T>) -> Option<Object> {
     if y.halt.is_some() {
         return None;
     }
-    let out = encode(&y.out)?;
-    Some(
-        obj(vec![
-            ("kind", s("chunk")),
-            ("phase", num(phase)),
-            ("seq", num(meta.seq)),
-            ("first", num(meta.first_line)),
-            ("lines", num(meta.lines)),
-            ("bytes", num(meta.bytes)),
-            ("records", num(y.records)),
-            ("errors", encode_errors(&y.errors)),
-            ("out", out),
-        ])
-        .to_json_string(),
-    )
+    let Value::Obj(fields) = obj(vec![
+        ("kind", s("chunk")),
+        ("phase", num(phase)),
+        ("seq", num(meta.seq)),
+        ("first", num(meta.first_line)),
+        ("lines", num(meta.lines)),
+        ("bytes", num(meta.bytes)),
+        ("crc", num64(u64::from(meta.input_crc))),
+        ("records", num(y.records)),
+        ("errors", encode_errors(&y.errors)),
+    ]) else {
+        unreachable!("obj builds an object")
+    };
+    Some(fields)
 }
 
-struct DecodedChunk<T> {
+/// The journal payload for a chunk of a stage whose output the record
+/// carries itself (inference, validation).
+fn record_payload<T>(
+    phase: usize,
+    encode: fn(&T) -> Option<Value>,
+) -> impl Fn(&ChunkMeta, &mut ShardYield<T>) -> Option<String> {
+    move |meta, y| {
+        let mut record = chunk_fields(phase, meta, y)?;
+        record.insert("out", encode(&y.out)?);
+        Some(Value::Obj(record).to_json_string())
+    }
+}
+
+/// A committed chunk record, decoded.
+struct ChunkRecord<'v> {
     seq: usize,
     first_line: usize,
     lines: usize,
     bytes: usize,
     records: usize,
     errors: ErrorSummary,
-    out: T,
+    out: &'v Value,
 }
 
-fn decode_chunk_record<T>(
-    value: &Value,
-    decode: fn(&Value) -> Option<T>,
-) -> Option<DecodedChunk<T>> {
-    Some(DecodedChunk {
+fn decode_record(value: &Value) -> Option<ChunkRecord<'_>> {
+    Some(ChunkRecord {
         seq: get_usize(value, "seq")?,
         first_line: get_usize(value, "first")?,
         lines: get_usize(value, "lines")?,
         bytes: get_usize(value, "bytes")?,
         records: get_usize(value, "records")?,
         errors: decode_errors(value.get("errors")?)?,
-        out: decode(value.get("out")?)?,
+        out: value.get("out")?,
     })
+}
+
+fn decode_records<'v>(records: &[&'v Value]) -> Result<Vec<ChunkRecord<'v>>, StreamError> {
+    records
+        .iter()
+        .enumerate()
+        .map(|(idx, value)| {
+            decode_record(value).ok_or_else(|| {
+                StreamError::Input(format!(
+                    "checkpoint journal: committed chunk record {idx} cannot be decoded"
+                ))
+            })
+        })
+        .collect()
+}
+
+/// Folds the committed prefix's outputs in seq order with the stage's
+/// own merge — the same fusion the live run applied.
+fn replay_outs<S: RecordStage>(
+    stage: &S,
+    committed: &[ChunkRecord<'_>],
+    decode: fn(&Value) -> Option<S::Out>,
+) -> Result<Option<S::Out>, StreamError> {
+    let mut acc: Option<S::Out> = None;
+    for (idx, c) in committed.iter().enumerate() {
+        let out = decode(c.out).ok_or_else(|| {
+            StreamError::Input(format!(
+                "checkpoint journal: committed chunk record {idx} has an undecodable output"
+            ))
+        })?;
+        acc = Some(match acc.take() {
+            Some(prefix) => stage.merge(prefix, out),
+            None => out,
+        });
+    }
+    Ok(acc)
 }
 
 // ---------------------------------------------------------------------------
@@ -445,45 +597,37 @@ fn input_len(input: &Path) -> Result<u64, StreamError> {
         .map_err(|e| StreamError::Input(format!("{}: {e}", input.display())))
 }
 
-/// Runs one stage pass with chunk commits journaled: decodes the
+/// Runs one stage pass with in-order chunk commits: accounts for the
 /// committed prefix, seeks the input past it, streams the tail through
-/// the engine with the journal as commit sink, and fuses prefix + tail
-/// into the same `(out, report)` contract the unjournaled entry points
-/// return. Interruption surfaces as [`StreamError::Interrupted`] *after*
-/// data-level failures, which a resume would deterministically re-hit.
+/// the engine with a [`ChunkJournal`] over `committer` as commit sink,
+/// and fuses `prefix_out` + tail into the same `(out, report)` contract
+/// the unjournaled entry points return. Interruption surfaces as
+/// [`StreamError::Interrupted`] *after* data-level failures, which a
+/// resume would deterministically re-hit.
 #[allow(clippy::too_many_arguments)]
-fn run_phase<S: RecordStage>(
+fn run_phase<S: RecordStage, C: Committer>(
     input: &Path,
     stage: &S,
     opts: StreamingOptions,
     chunk: ChunkOptions,
     fault: FaultOptions,
-    codec: OutCodec<S::Out>,
-    phase: usize,
-    committed: &[&Value],
-    writer: JournalWriter,
-    ctrl: &JournalControl<'_>,
-) -> Result<(S::Out, RunReport, JournalWriter), StreamError>
+    committed: &[ChunkRecord<'_>],
+    prefix_out: Option<S::Out>,
+    committer: C,
+    prepare: impl Fn(&ChunkMeta, &mut ShardYield<S::Out>) -> Option<C::Payload> + Send + Sync + 'static,
+    ctrl: Option<&JournalControl<'_>>,
+) -> Result<(S::Out, RunReport, C), StreamError>
 where
     S::Out: 'static,
 {
     let fold = FaultFold::new(stage, fault);
     let cap = fold.retention_cap();
 
-    // Replay the committed prefix: fold chunk outputs in seq order with
-    // the stage's own merge — the same fusion the live run applied.
-    let mut prefix_out: Option<S::Out> = None;
     let mut bytes = 0u64;
     let mut lines = 0usize;
     let mut records = 0usize;
     let mut errors = ErrorSummary::new();
-    for (idx, rec) in committed.iter().enumerate() {
-        let c = decode_chunk_record(rec, codec.decode).ok_or_else(|| {
-            StreamError::Input(format!(
-                "checkpoint journal: committed chunk record {idx} cannot be decoded \
-                 (incompatible journal version?)"
-            ))
-        })?;
+    for (idx, c) in committed.iter().enumerate() {
         if c.seq != idx || c.first_line != lines {
             return Err(StreamError::Input(format!(
                 "checkpoint journal: committed chunks are not contiguous at record {idx}"
@@ -492,11 +636,7 @@ where
         bytes += c.bytes as u64;
         lines += c.lines;
         records += c.records;
-        errors.merge(c.errors, cap);
-        prefix_out = Some(match prefix_out.take() {
-            Some(acc) => stage.merge(acc, c.out),
-            None => c.out,
-        });
+        errors.merge(c.errors.clone(), cap);
     }
     let resumed_chunks = committed.len();
 
@@ -514,26 +654,20 @@ where
     let source =
         ReaderChunks::with_offset(BufReader::new(file), target, ring, resumed_chunks, lines);
 
-    let enc = codec.encode;
-    let journal = ChunkJournal::new(writer, resumed_chunks, move |meta: &ChunkMeta, y| {
-        encode_chunk_record(phase, enc, meta, y)
-    });
-    let journal = match &ctrl.after_commit {
-        Some(hook) => {
-            let hook = hook.clone();
-            journal.with_after_commit(move |n| hook(n))
-        }
+    let journal = ChunkJournal::new(committer, resumed_chunks, prepare);
+    let journal = match ctrl.and_then(|c| c.after_commit.clone()) {
+        Some(hook) => journal.with_after_commit(move |n| hook(n)),
         None => journal,
     };
     let control = RunControl {
         sink: Some(&journal),
-        stop: ctrl.stop,
+        stop: ctrl.and_then(|c| c.stop),
     };
     let outcome =
         run_source_controlled(&source, &fold, workers, chunk.timing, control).map_err(input_err)?;
-    let (writer, _committed_now) = journal
+    let (committer, _committed_now) = journal
         .finish()
-        .map_err(|e| journal_err("commit failed", e))?;
+        .map_err(|e| StreamError::Input(format!("committing a chunk failed: {e}")))?;
 
     let tail = outcome.out;
     errors.merge(tail.errors, cap);
@@ -552,7 +686,41 @@ where
     if outcome.interrupted {
         return Err(StreamError::Interrupted);
     }
-    Ok((out, report, writer))
+    Ok((out, report, committer))
+}
+
+/// A journaled pass whose records carry the stage output themselves:
+/// replays the committed prefix of `phase` and runs the rest.
+#[allow(clippy::too_many_arguments)]
+fn run_recorded_phase<S: RecordStage>(
+    input: &Path,
+    stage: &S,
+    opts: StreamingOptions,
+    chunk: ChunkOptions,
+    fault: FaultOptions,
+    codec: OutCodec<S::Out>,
+    phase: usize,
+    records: &[Value],
+    writer: JournalWriter,
+    ctrl: &JournalControl<'_>,
+) -> Result<(S::Out, RunReport, JournalWriter), StreamError>
+where
+    S::Out: 'static,
+{
+    let committed = decode_records(&phase_chunks(records, phase))?;
+    let prefix_out = replay_outs(stage, &committed, codec.decode)?;
+    run_phase(
+        input,
+        stage,
+        opts,
+        chunk,
+        fault,
+        &committed,
+        prefix_out,
+        writer,
+        record_payload(phase, codec.encode),
+        Some(ctrl),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -562,7 +730,7 @@ where
 /// Journaled out-of-core streaming inference over an NDJSON file.
 ///
 /// Semantics (type, report, errors) are identical to
-/// [`infer_streaming_source`](crate::infer_streaming_source) on the same
+/// [`infer_streaming_source`] on the same
 /// file; additionally every committed chunk is durable in
 /// `ctrl.journal`, and with `ctrl.resume` the run continues from the
 /// last committed chunk instead of starting over.
@@ -574,19 +742,20 @@ pub fn infer_streaming_journaled(
     fault: FaultOptions,
     ctrl: &JournalControl<'_>,
 ) -> Result<(JType, RunReport), StreamError> {
+    let mut config = vec![equiv_config(equiv)];
+    config.extend(fault_config(&fault));
     let header = header_record(
         "infer",
         effective_chunk_bytes(&chunk),
         input_len(input)?,
-        &format!("equiv={equiv:?} fault={fault:?}"),
+        config,
     );
-    let (writer, committed) = open_session(ctrl, header)?;
+    let (writer, committed) = open_session(ctrl, input, header)?;
     let stage = InferStage {
         equiv,
         decoder: jsonx_syntax::JsonDecoder::new().with_limits(fault.limits),
     };
-    let prefix = phase_chunks(&committed, 1);
-    let (ty, report, _writer) = run_phase(
+    let (ty, report, _writer) = run_recorded_phase(
         input,
         &stage,
         opts,
@@ -594,7 +763,7 @@ pub fn infer_streaming_journaled(
         fault,
         infer_codec(),
         1,
-        &prefix,
+        &committed,
         writer,
         ctrl,
     )?;
@@ -622,15 +791,21 @@ pub fn validate_streaming_journaled(
     schema_tag: u32,
     ctrl: &JournalControl<'_>,
 ) -> Result<(Vec<(usize, LineVerdict)>, RunReport), StreamError> {
+    // `fast` is deliberately absent: the fast path is verdict-identical,
+    // so a resume may toggle it freely.
+    let ValidatorOptions { enforce_formats } = options;
+    let mut config = vec![
+        ("schema", s(format!("{schema_tag:08x}"))),
+        ("enforce_formats", Value::Bool(enforce_formats)),
+    ];
+    config.extend(fault_config(&fault));
     let header = header_record(
         "validate",
         effective_chunk_bytes(&chunk),
         input_len(input)?,
-        // `fast` is deliberately absent: the fast path is
-        // verdict-identical, so a resume may toggle it freely.
-        &format!("schema={schema_tag:08x} options={options:?} fault={fault:?}"),
+        config,
     );
-    let (writer, committed) = open_session(ctrl, header)?;
+    let (writer, committed) = open_session(ctrl, input, header)?;
     let stage = ValidateStage {
         schema,
         options,
@@ -644,8 +819,7 @@ pub fn validate_streaming_journaled(
             fault.limits,
         ),
     };
-    let prefix = phase_chunks(&committed, 1);
-    let (verdicts, report, _writer) = run_phase(
+    let (verdicts, report, _writer) = run_recorded_phase(
         input,
         &stage,
         opts,
@@ -653,74 +827,160 @@ pub fn validate_streaming_journaled(
         fault,
         validate_codec(),
         1,
-        &prefix,
+        &committed,
         writer,
         ctrl,
     )?;
     Ok((verdicts, report))
 }
 
-/// Journaled out-of-core translation over an NDJSON file: the inference
-/// pass and the shredding pass journal into **one** file, phase-tagged,
-/// with a `type` marker sealing phase 1.
+/// One translated chunk on its way to the `.jxc` file: the encoded row
+/// group, and — on journaled runs — its chunk record minus the group's
+/// coordinates, which only the commit knows.
+struct GroupCommit {
+    group: RowGroup,
+    record: Option<Object>,
+}
+
+/// Appends row groups to the `.jxc` file in chunk order. With a
+/// journal, each group is `sync_data`'d before the record that points
+/// at it is appended (write-ahead order), so every committed record
+/// names bytes that are already durable.
+struct GroupCommitter {
+    jxc: JxcWriter<File>,
+    journal: Option<JournalWriter>,
+}
+
+impl Committer for GroupCommitter {
+    type Payload = GroupCommit;
+
+    fn commit(&mut self, payload: GroupCommit) -> std::io::Result<()> {
+        let entry = self.jxc.append(&payload.group)?;
+        if let (Some(journal), Some(mut record)) = (&mut self.journal, payload.record) {
+            self.jxc.get_mut().sync_data()?;
+            record.insert("out", group_value(&entry));
+            journal.append(&Value::Obj(record).to_json_string())?;
+        }
+        Ok(())
+    }
+}
+
+/// What a translation into a `.jxc` file wrote.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JxcTranslation {
+    /// The inferred type the column layout was built from.
+    pub ty: JType,
+    /// Rows written, over every row group.
+    pub rows: u64,
+    /// The finished file's size in bytes.
+    pub bytes: u64,
+}
+
+/// Out-of-core translation of an NDJSON file into a `.jxc` file at
+/// `out`, in two passes: infer the type, then shred. Each input chunk's
+/// rows are encoded as one row group on the worker that shredded them
+/// and appended to `out` in chunk order, so neither the merged batch nor
+/// the encoded output is ever resident: memory is bounded by the input's
+/// chunks. Group boundaries depend only on the input bytes and the chunk
+/// target, so the file is byte-identical at every worker count, and
+/// [`read_jxc`](jsonx_translate::read_jxc) of it equals
+/// [`translate_streaming_source`](crate::translate_streaming_source)'s
+/// batch. The report covers the shredding pass.
 ///
-/// A kill during inference resumes inference; a kill during shredding
-/// reconstructs the layout from the marker (no re-inference) and
-/// resumes shredding. The returned report covers the translate pass,
-/// matching the unjournaled CLI behaviour.
-pub fn translate_streaming_journaled(
+/// With `journal`, both passes commit into one journal, phase-tagged,
+/// with a `type` marker sealing phase 1: a kill during inference resumes
+/// inference, and a kill during shredding reconstructs the layout from
+/// the marker (no re-inference), keeps the row groups the journal
+/// committed, cuts the `.jxc` after the last of them and appends from
+/// there. The resumed file is byte-identical to an uninterrupted run.
+///
+/// Without a journal, a failed run removes its partial `out`.
+#[allow(clippy::too_many_arguments)]
+pub fn translate_streaming_to_jxc(
     input: &Path,
     equiv: Equivalence,
     opts: StreamingOptions,
     chunk: ChunkOptions,
     fault: FaultOptions,
     fast: bool,
-    ctrl: &JournalControl<'_>,
-) -> Result<(JType, ColumnarBatch, RunReport), StreamError> {
-    let header = header_record(
-        "translate",
-        effective_chunk_bytes(&chunk),
-        input_len(input)?,
-        &format!("equiv={equiv:?} fault={fault:?}"),
-    );
-    let (mut writer, committed) = open_session(ctrl, header)?;
+    out: &Path,
+    journal: Option<&JournalControl<'_>>,
+) -> Result<(JxcTranslation, RunReport), StreamError> {
+    let result = translate_to_jxc(input, equiv, opts, chunk, fault, fast, out, journal);
+    if result.is_err() && journal.is_none() {
+        let _ = std::fs::remove_file(out);
+    }
+    result
+}
 
-    let ty = match type_marker(&committed) {
-        Some(printed) => parse_type(printed)
-            .map_err(|e| journal_err("type marker does not parse", format!("{e:?}")))?,
+#[allow(clippy::too_many_arguments)]
+fn translate_to_jxc(
+    input: &Path,
+    equiv: Equivalence,
+    opts: StreamingOptions,
+    chunk: ChunkOptions,
+    fault: FaultOptions,
+    fast: bool,
+    out: &Path,
+    journal: Option<&JournalControl<'_>>,
+) -> Result<(JxcTranslation, RunReport), StreamError> {
+    let infer = InferStage {
+        equiv,
+        decoder: jsonx_syntax::JsonDecoder::new().with_limits(fault.limits),
+    };
+    let (ty, writer, committed) = match journal {
         None => {
-            let stage = InferStage {
-                equiv,
-                decoder: jsonx_syntax::JsonDecoder::new().with_limits(fault.limits),
+            let file =
+                File::open(input).map_err(|e| input_err(format!("{}: {e}", input.display())))?;
+            let source = StreamSource::Reader(BufReader::new(file));
+            let (ty, _) = infer_streaming_source(source, equiv, opts, chunk, fault)?;
+            (ty, None, Vec::new())
+        }
+        Some(ctrl) => {
+            let mut config = vec![equiv_config(equiv)];
+            config.extend(fault_config(&fault));
+            let header = header_record(
+                "translate",
+                effective_chunk_bytes(&chunk),
+                input_len(input)?,
+                config,
+            );
+            let (mut writer, committed) = open_session(ctrl, input, header)?;
+            let ty = match type_marker(&committed) {
+                Some(printed) => parse_type(printed)
+                    .map_err(|e| journal_err("type marker does not parse", format!("{e:?}")))?,
+                None => {
+                    let (ty, _report, w) = run_recorded_phase(
+                        input,
+                        &infer,
+                        opts,
+                        chunk,
+                        fault,
+                        infer_codec(),
+                        1,
+                        &committed,
+                        writer,
+                        ctrl,
+                    )?;
+                    writer = w;
+                    // Seal phase 1: once this marker is durable, a resume
+                    // never re-infers — the layout is pinned for phase 2.
+                    let marker = obj(vec![
+                        ("kind", s("type")),
+                        ("type", s(print_type(&ty, PrintOptions::with_counts()))),
+                    ]);
+                    writer
+                        .append(&marker.to_json_string())
+                        .map_err(|e| journal_err("writing type marker", e))?;
+                    ty
+                }
             };
-            let prefix = phase_chunks(&committed, 1);
-            let (ty, _report, w) = run_phase(
-                input,
-                &stage,
-                opts,
-                chunk,
-                fault,
-                infer_codec(),
-                1,
-                &prefix,
-                writer,
-                ctrl,
-            )?;
-            writer = w;
-            // Seal phase 1: once this marker is durable, a resume never
-            // re-infers — the layout is pinned for phase 2 forever.
-            let marker = obj(vec![
-                ("kind", s("type")),
-                ("type", s(print_type(&ty, PrintOptions::with_counts()))),
-            ]);
-            writer
-                .append(&marker.to_json_string())
-                .map_err(|e| journal_err("writing type marker", e))?;
-            ty
+            (ty, Some(writer), committed)
         }
     };
 
     let shredder = Shredder::from_type(&ty);
+    let layout = shredder.stream().finish();
     let stage = TranslateStage {
         shredder: &shredder,
         decoder: FastJsonDecoder::new(
@@ -732,27 +992,72 @@ pub fn translate_streaming_journaled(
             fault.limits,
         ),
     };
-    let prefix = phase_chunks(&committed, 2);
-    let (batch, report, _writer) = run_phase(
-        input,
-        &stage,
-        opts,
-        chunk,
-        fault,
-        translate_codec(),
-        2,
-        &prefix,
-        writer,
-        ctrl,
+    let prefix = decode_records(&phase_chunks(&committed, 2))?;
+    let groups = prefix
+        .iter()
+        .enumerate()
+        .map(|(idx, c)| {
+            decode_group(c.out).ok_or_else(|| {
+                journal_err(&format!("committed chunk record {idx}"), "no row group")
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let out_err = |e: &dyn std::fmt::Display| StreamError::Input(format!("{}: {e}", out.display()));
+    let jxc = if groups.is_empty() {
+        let file = File::create(out).map_err(|e| out_err(&e))?;
+        JxcWriter::new(file, &layout).map_err(|e| out_err(&e))?
+    } else {
+        JxcWriter::resume(out, &layout, groups).map_err(|e| {
+            StreamError::Input(format!(
+                "--resume: {} does not hold the row groups the journal committed ({e}); \
+                 pass a fresh --checkpoint path or drop --resume",
+                out.display()
+            ))
+        })?
+    };
+    let journaled = writer.is_some();
+    let committer = GroupCommitter {
+        jxc,
+        journal: writer,
+    };
+    // Runs on the worker that shredded the chunk: the batch moves out of
+    // the chunk's result (nothing of it stays resident after the commit)
+    // and is encoded here, in parallel with other workers.
+    let prepare = move |meta: &ChunkMeta, y: &mut ShardYield<ColumnarBatch>| {
+        let batch = std::mem::replace(
+            &mut y.out,
+            ColumnarBatch {
+                columns: Vec::new(),
+                rows: 0,
+            },
+        );
+        if y.halt.is_some() {
+            return None;
+        }
+        Some(GroupCommit {
+            group: encode_group(&batch),
+            record: if journaled {
+                chunk_fields(2, meta, y)
+            } else {
+                None
+            },
+        })
+    };
+    let (_, report, committer) = run_phase(
+        input, &stage, opts, chunk, fault, &prefix, None, committer, prepare, journal,
     )?;
-    Ok((ty, batch, report))
+    let rows = committer.jxc.rows();
+    // The footer is not synced: every row group already is, so if it
+    // is lost the file reads as truncated and `--resume` rewrites it.
+    let (_, bytes) = committer.jxc.finish().map_err(|e| out_err(&e))?;
+    Ok((JxcTranslation { ty, rows, bytes }, report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streaming::{infer_streaming_source, translate_streaming_source, StreamSource};
-    use jsonx_pipeline::ErrorPolicy;
+    use crate::streaming::translate_streaming_source;
+    use jsonx_translate::read_jxc;
     use std::io::Write as _;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1015,6 +1320,7 @@ mod tests {
         let text = corpus(60);
         let input = write_input(&dir, "in.ndjson", &text);
         let journal = dir.path("run.journal");
+        let out = dir.path("resumed.jxc");
         let opts = StreamingOptions::with_workers(2);
         let fault = FaultOptions::default();
 
@@ -1034,14 +1340,15 @@ mod tests {
                 }
             })),
         };
-        let err = translate_streaming_journaled(
+        let err = translate_streaming_to_jxc(
             &input,
             Equivalence::Kind,
             opts,
             small_chunks(),
             fault,
             true,
-            &ctrl,
+            &out,
+            Some(&ctrl),
         )
         .unwrap_err();
         assert_eq!(err, StreamError::Interrupted);
@@ -1052,14 +1359,15 @@ mod tests {
             stop: None,
             after_commit: None,
         };
-        let (ty, batch, report) = translate_streaming_journaled(
+        let (written, report) = translate_streaming_to_jxc(
             &input,
             Equivalence::Kind,
             opts,
             small_chunks(),
             fault,
             true,
-            &ctrl,
+            &out,
+            Some(&ctrl),
         )
         .unwrap();
 
@@ -1081,12 +1389,157 @@ mod tests {
             true,
         )
         .unwrap();
-        assert_eq!(ty, want_ty);
+        assert_eq!(written.ty, want_ty);
         assert_eq!(report.records, want_report.records);
+        assert_eq!(written.rows, want_batch.rows as u64);
+        let resumed = std::fs::read(&out).unwrap();
+        assert_eq!(written.bytes, resumed.len() as u64);
         assert_eq!(
-            write_jxc(&batch),
-            write_jxc(&want_batch),
+            read_jxc(&resumed).unwrap().batch,
+            want_batch,
+            "resumed .jxc reads back as the uninterrupted batch"
+        );
+
+        // And byte-identical to an uninterrupted, unjournaled run.
+        let plain = dir.path("plain.jxc");
+        translate_streaming_to_jxc(
+            &input,
+            Equivalence::Kind,
+            StreamingOptions::with_workers(3),
+            small_chunks(),
+            fault,
+            true,
+            &plain,
+            None,
+        )
+        .unwrap();
+        assert_eq!(
+            resumed,
+            std::fs::read(&plain).unwrap(),
             "resumed .jxc bytes identical to uninterrupted run"
+        );
+    }
+
+    #[test]
+    fn translate_journal_records_offsets_not_batches() {
+        let dir = TempDir::new("translate-offsets");
+        let text = corpus(2000);
+        let input = write_input(&dir, "in.ndjson", &text);
+        let journal = dir.path("run.journal");
+        let out = dir.path("out.jxc");
+        let chunk = ChunkOptions {
+            chunk_bytes: 4096,
+            ..ChunkOptions::default()
+        };
+        let (written, _) = translate_streaming_to_jxc(
+            &input,
+            Equivalence::Kind,
+            StreamingOptions::with_workers(2),
+            chunk,
+            FaultOptions::default(),
+            true,
+            &out,
+            Some(&JournalControl::new(&journal)),
+        )
+        .unwrap();
+        let payloads = read_journal(&journal).unwrap().records;
+        let records: Vec<Value> = payloads.iter().map(|r| parse(r).unwrap()).collect();
+        let groups: Vec<GroupEntry> = phase_chunks(&records, 2)
+            .iter()
+            .map(|r| decode_group(r.get("out").unwrap()).unwrap())
+            .collect();
+        let file = read_jxc(&std::fs::read(&out).unwrap()).unwrap();
+        assert!(groups.len() > 5, "several chunks: {}", groups.len());
+        assert_eq!(groups.len(), file.groups.len(), "one row group per chunk");
+        assert_eq!(groups.iter().map(|g| g.rows).sum::<u64>(), written.rows);
+        // A phase-2 record is a few small integers, never the group.
+        let phase2_bytes: usize = payloads
+            .iter()
+            .zip(&records)
+            .filter(|(_, r)| r.get("phase").and_then(Value::as_i64) == Some(2))
+            .map(|(p, _)| p.len())
+            .sum();
+        assert!(
+            (phase2_bytes as u64) * 4 < written.bytes,
+            "phase-2 records {phase2_bytes} B vs .jxc {} B",
+            written.bytes
+        );
+    }
+
+    #[test]
+    fn resume_refuses_a_journal_of_another_version() {
+        let dir = TempDir::new("old-version");
+        let text = corpus(10);
+        let input = write_input(&dir, "in.ndjson", &text);
+        let journal = dir.path("run.journal");
+        let mut writer = JournalWriter::create(&journal).unwrap();
+        writer
+            .append(
+                r#"{"kind":"header","v":1,"stage":"infer","chunk_bytes":64,"input_bytes":0,"config":"equiv=Kind"}"#,
+            )
+            .unwrap();
+        drop(writer);
+        let ctrl = JournalControl {
+            journal: &journal,
+            resume: true,
+            stop: None,
+            after_commit: None,
+        };
+        let err = infer_streaming_journaled(
+            &input,
+            Equivalence::Kind,
+            StreamingOptions::with_workers(1),
+            small_chunks(),
+            FaultOptions::default(),
+            &ctrl,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, StreamError::Input(msg) if msg.contains("format version 1")),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn resume_refuses_input_changed_inside_the_committed_prefix() {
+        let dir = TempDir::new("changed-input");
+        let text = corpus(60);
+        let input = write_input(&dir, "in.ndjson", &text);
+        let journal = dir.path("run.journal");
+        let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
+        let ctrl = JournalControl {
+            journal: &journal,
+            resume: false,
+            stop: Some(stop),
+            after_commit: Some(Arc::new(move |n| {
+                if n >= 3 {
+                    stop.store(true, Ordering::SeqCst);
+                }
+            })),
+        };
+        let run = |ctrl: &JournalControl<'_>| {
+            infer_streaming_journaled(
+                &input,
+                Equivalence::Kind,
+                StreamingOptions::with_workers(2),
+                small_chunks(),
+                FaultOptions::default(),
+                ctrl,
+            )
+        };
+        assert_eq!(run(&ctrl).unwrap_err(), StreamError::Interrupted);
+        // Same length, different bytes, inside the first committed chunk.
+        write_input(&dir, "in.ndjson", &text.replacen("row 0", "ROW 0", 1));
+        let ctrl = JournalControl {
+            journal: &journal,
+            resume: true,
+            stop: None,
+            after_commit: None,
+        };
+        let err = run(&ctrl).unwrap_err();
+        assert!(
+            matches!(&err, StreamError::Input(msg) if msg.contains("changed since chunk 0")),
+            "got {err:?}"
         );
     }
 }

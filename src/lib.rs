@@ -53,8 +53,8 @@ pub use jsonx_translate as translate;
 pub use jsonx_typelang as typelang;
 
 pub use checkpoint::{
-    infer_streaming_journaled, translate_streaming_journaled, validate_streaming_journaled,
-    JournalControl,
+    infer_streaming_journaled, translate_streaming_to_jxc, validate_streaming_journaled,
+    JournalControl, JxcTranslation,
 };
 pub use jsonx_data::{json, Kind, Number, Object, Pointer, Value};
 pub use jsonx_pipeline as pipeline;

@@ -450,3 +450,149 @@ fn cat_into_closed_pipe_exits_zero() {
         "cat must exit 0 when its reader goes away"
     );
 }
+
+/// A resume must skip exactly the bytes that were committed. Editing a
+/// committed line without changing its length (so the input size still
+/// matches the journal header) must refuse the resume rather than merge
+/// the old prefix with the new tail into a type matching neither file.
+#[test]
+fn resume_refuses_input_edited_inside_the_committed_prefix() {
+    let dir = TempDir::new("edited");
+    let corpus = dir.path("corpus.ndjson");
+    let mut text = String::new();
+    for i in 0..600 {
+        text.push_str(&format!(
+            "{{\"id\":{i},\"actor\":{{\"login\":\"user{i}\"}}}}\n"
+        ));
+    }
+    std::fs::write(&corpus, &text).expect("write corpus");
+    let corpus = corpus.to_str().unwrap();
+    let journal = dir.path("run.journal");
+    let journal = journal.to_str().unwrap();
+
+    let stopped = run(
+        &infer_args(corpus, "2", Some(journal), false),
+        Some("stop:3"),
+    );
+    assert_eq!(stopped.code, Some(EXIT_INTERRUPTED));
+
+    let edited = text.replacen("\"login\"", "\"LOGIN\"", 1);
+    assert_eq!(edited.len(), text.len());
+    std::fs::write(dir.path("corpus.ndjson"), edited).expect("edit corpus");
+    let resumed = run(&infer_args(corpus, "2", Some(journal), true), None);
+    assert_ne!(
+        resumed.code,
+        Some(0),
+        "resume over an edited input must refuse"
+    );
+    assert!(resumed.stdout.is_empty(), "no type may be printed");
+}
+
+/// A translation killed mid-shred leaves row groups in the `.jxc` past
+/// what its journal committed, or a torn group. Garbage after the last
+/// committed group is cut on resume, and the file comes out
+/// byte-identical to an uninterrupted run.
+#[test]
+fn torn_jxc_tail_resumes_byte_identical() {
+    use std::io::Write as _;
+
+    let dir = TempDir::new("torn-jxc");
+    let corpus = dir.path("corpus.ndjson");
+    write_corpus(&corpus, 4000);
+    let corpus = corpus.to_str().unwrap();
+    let translate = |journal: Option<&str>, resume: bool, out: &str| -> Vec<String> {
+        let mut args: Vec<String> = [
+            "translate",
+            "--streaming",
+            "--input",
+            corpus,
+            "--chunk-bytes",
+            "4096",
+            "--workers",
+            "2",
+            "--out",
+            out,
+        ]
+        .map(String::from)
+        .to_vec();
+        if let Some(journal) = journal {
+            args.extend(["--checkpoint".into(), journal.into()]);
+        }
+        if resume {
+            args.push("--resume".into());
+        }
+        args
+    };
+
+    let ref_jxc = dir.path("ref.jxc");
+    let reference = run_owned(&translate(None, false, ref_jxc.to_str().unwrap()), None);
+    assert_eq!(reference.code, Some(0));
+    let ref_bytes = std::fs::read(&ref_jxc).expect("reference .jxc");
+
+    // Header, phase-1 chunks, type marker, phase-2 chunks: one chunk
+    // record per phase per chunk.
+    let probe = dir.path("probe.journal");
+    let probe_out = dir.path("probe.jxc");
+    let complete = run_owned(
+        &translate(
+            Some(probe.to_str().unwrap()),
+            false,
+            probe_out.to_str().unwrap(),
+        ),
+        None,
+    );
+    assert_eq!(complete.code, Some(0));
+    let chunks = (committed_chunks(&probe) - 1) / 2;
+    assert!(chunks > 4, "needs several chunks, got {chunks}");
+
+    let journal = dir.path("run.journal");
+    let journal = journal.to_str().unwrap();
+    let out = dir.path("run.jxc");
+    let out = out.to_str().unwrap();
+    let spec = format!("commits:{}", chunks + chunks / 2);
+    let killed = run_owned(&translate(Some(journal), false, out), Some(&spec));
+    assert_ne!(killed.code, Some(0), "abort expected mid-shred");
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(out)
+        .expect("open partial .jxc");
+    file.write_all(b"torn row group \x00\x01\x02 garbage")
+        .expect("append garbage");
+    drop(file);
+
+    let resumed = run_owned(&translate(Some(journal), true, out), None);
+    assert_eq!(
+        resumed.code,
+        Some(0),
+        "torn .jxc tail must not block resume"
+    );
+    assert_eq!(
+        std::fs::read(out).expect("resumed .jxc"),
+        ref_bytes,
+        "resumed .jxc differs from uninterrupted reference"
+    );
+}
+
+/// A translate journal records where each row group lands in the
+/// `.jxc`, so journaling a translate with no output file is a usage
+/// error.
+#[test]
+fn translate_checkpoint_without_out_is_a_usage_error() {
+    let dir = TempDir::new("no-out");
+    let corpus = dir.path("corpus.ndjson");
+    write_corpus(&corpus, 10);
+    let journal = dir.path("run.journal");
+    let out = run(
+        &[
+            "translate",
+            "--streaming",
+            "--input",
+            corpus.to_str().unwrap(),
+            "--checkpoint",
+            journal.to_str().unwrap(),
+        ],
+        None,
+    );
+    assert_eq!(out.code, Some(EXIT_USAGE));
+    assert!(!journal.exists(), "no journal may be started");
+}
