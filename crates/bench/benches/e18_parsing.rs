@@ -1,4 +1,4 @@
-//! E18 — Fused SWAR fast path: structural skip-scanning + projection
+//! E18 — Fused structural fast path: structural skip-scanning + projection
 //! pushdown vs the full-parser streaming pipeline.
 //!
 //! Two corpora, two consumers:
@@ -151,7 +151,7 @@ fn time_translate(ndjson: &str, n: usize, shredder: &Shredder, opts: StreamingOp
 fn main() {
     banner(
         "E18",
-        "SWAR structural fast path + projection pushdown vs full parsing",
+        "structural fast path + projection pushdown vs full parsing",
     );
     let opts = StreamingOptions {
         workers: 1,

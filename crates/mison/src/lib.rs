@@ -25,8 +25,9 @@
 //!    `jsonx_syntax::structural`): one `u64` lane per 64 input bytes;
 //!    quote/colon/comma/brace bitmaps, backslash-aware unescaped-quote
 //!    detection, and the carry-propagating prefix-XOR string mask. (The
-//!    paper uses AVX + PCLMULQDQ; the identical algorithms run here on
-//!    portable 64-bit words — same structure, 64 lanes per operation.)
+//!    paper uses AVX + PCLMULQDQ; here each 64-byte block is classified
+//!    with SSE2 compares on `x86_64` or SWAR elsewhere, and the identical
+//!    bit algorithms run on 64-bit words, 64 lanes per operation.)
 //! 2. **Leveled structural index** ([`index`]): colon and comma positions
 //!    bucketed by nesting level, built only to the depth the query needs.
 //! 3. **Projection pushdown** ([`project`]): parse *only* the requested

@@ -10,9 +10,10 @@
 //! parser, implemented carefully per RFC 8259: full string escapes with
 //! surrogate pairs, the exact number grammar, configurable nesting limits,
 //! and byte-precise error positions. The [`structural`] module carries the
-//! word-parallel counterpart: SWAR structural bitmaps and a projecting
-//! skip-scanner that the streaming pipeline uses as its fast path, with
-//! this parser as the verified fallback.
+//! word-parallel counterpart: structural bitmaps classified 64 bytes at a
+//! time (SSE2 on `x86_64`, SWAR elsewhere) and a projecting skip-scanner
+//! that the streaming pipeline uses as its fast path, with this parser as
+//! the verified fallback.
 //!
 //! ```
 //! use jsonx_syntax::{parse, to_string_pretty};

@@ -1,24 +1,34 @@
-//! Word-parallel structural bitmaps and the projecting record scanner —
-//! the fast parse path of the workspace (Mison, Li et al. PVLDB 2017;
-//! Fad.js, Bonetta & Brantner PVLDB 2017).
+//! Vector-classified structural bitmaps and the projecting record
+//! scanner — the fast parse path of the workspace (Mison, Li et al.
+//! PVLDB 2017; Fad.js, Bonetta & Brantner PVLDB 2017).
 //!
-//! Two layers live here:
+//! Three layers live here:
 //!
-//! 1. [`Bitmaps`] — SWAR structural bitmaps, promoted out of
-//!    `jsonx-mison` so the streaming pipeline can use them without a
-//!    crate cycle. Each `u64` word covers 64 input bytes, bit *i* of word
-//!    *w* describing byte `w*64 + i`: per-character bitmaps by 64-lane
-//!    comparison, unescaped-quote detection via backslash-run parity, the
-//!    string mask via a prefix-XOR within each word (the software
-//!    equivalent of the paper's carry-less multiplication by all-ones)
-//!    with a carry bit propagated across words, and structural bitmaps
-//!    masked to positions *outside* string literals.
-//! 2. [`StructuralScanner`] — a validating skip-scanner over one NDJSON
-//!    record. It walks the merged structural bitmap (quotes, colons,
-//!    commas, braces, brackets) instead of the bytes, jumps over string
-//!    literals quote-to-quote, and extracts the byte spans of the
-//!    root-level fields named by a [`FieldSet`] (projection pushdown: the
-//!    fields a compiled schema or a shred plan actually consumes).
+//! 1. **The block kernel.** `classify` turns one 64-byte block into one
+//!    `u64` per character class (quote, backslash, the six structural
+//!    operators, control bytes), bit *i* describing byte *i*. On
+//!    `x86_64` it is SSE2 (`_mm_cmpeq_epi8` + `_mm_movemask_epi8` over
+//!    four 16-byte lanes; SSE2 is part of the x86_64 baseline, so `cfg`
+//!    picks it at build time). Elsewhere it is SWAR — 8 lanes per `u64`
+//!    operation — which stays compiled everywhere as the SSE2 kernel's
+//!    test oracle. An input's last, partial block is copied into a
+//!    space-padded 64-byte buffer and goes through the same kernel.
+//! 2. **The block pass.** `Carry::pass` resolves escaped quotes by
+//!    backslash-run parity and extends the string mask by a prefix-XOR
+//!    within the word (the software equivalent of the paper's carry-less
+//!    multiplication by all-ones), each with a carry into the next block.
+//!    [`Bitmaps`] (the per-character bitmaps `jsonx-mison` indexes) and
+//!    the scanner's own index are both built from this one pass.
+//! 3. [`StructuralScanner`] — a validating skip-scanner over one NDJSON
+//!    record. One pass per block stores only what its walk reads: the
+//!    merged structural word (operators outside strings, plus unescaped
+//!    quotes), the quote word, and the backslash word and string mask for
+//!    the escape checks. It declines at the first block holding a control
+//!    byte inside a string. The walk then visits the merged structural
+//!    positions instead of the bytes, jumps over string literals
+//!    quote-to-quote, and extracts the byte spans of the root-level fields
+//!    named by a [`FieldSet`] (projection pushdown: the fields a compiled
+//!    schema or a shred plan actually consumes).
 //!
 //! ## The fallback contract
 //!
@@ -37,6 +47,7 @@
 //! `tests/parsing_fastpath.rs` pin both directions.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Structural bitmaps for one JSON document.
 #[derive(Debug, Clone, Default)]
@@ -79,9 +90,30 @@ fn prefix_xor(m: u64) -> u64 {
     x
 }
 
+/// One 64-byte block, classified: bit *i* of each word describes byte *i*.
+/// Nothing is resolved yet — quotes include escaped ones and operators
+/// include those inside strings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Classes {
+    quote: u64,
+    backslash: u64,
+    colon: u64,
+    comma: u64,
+    lbrace: u64,
+    rbrace: u64,
+    lbracket: u64,
+    rbracket: u64,
+    /// Any of the six structural operators `: , { } [ ]` — the union of
+    /// the six words above, computed once in the kernel so a caller that
+    /// reads only the union lets the compiler drop the separate masks.
+    ops: u64,
+    /// Bytes `< 0x20`.
+    control: u64,
+}
+
 /// SWAR byte-equality: returns a mask with `0x80` at every byte of
 /// `word` equal to `byte` (the classic carry-borrow trick — 8 lanes per
-/// operation, the portable stand-in for `_mm256_cmpeq_epi8`).
+/// operation).
 #[inline]
 fn eq_mask(word: u64, byte: u8) -> u64 {
     const LOW: u64 = 0x0101_0101_0101_0101;
@@ -125,13 +157,162 @@ fn chunk_control(chunk: &[u8; 64]) -> u64 {
     out
 }
 
-/// Builds all bitmaps for `input` using 64-lane word-parallel scanning.
-///
-/// The fast path assumes no backslashes in a chunk (overwhelmingly the
-/// common case); chunks containing backslashes fall back to the scalar
-/// escape-parity scan for their quote bits. [`build_scalar`] is the
-/// byte-at-a-time reference implementation the property tests compare
-/// against.
+/// The SWAR block kernel: the kernel on targets without SSE2, and the
+/// SSE2 kernel's test oracle on `x86_64`.
+#[cfg_attr(all(target_arch = "x86_64", not(test)), allow(dead_code))]
+#[inline]
+fn classify_swar(block: &[u8; 64]) -> Classes {
+    let (colon, comma) = (chunk_mask(block, b':'), chunk_mask(block, b','));
+    let (lbrace, rbrace) = (chunk_mask(block, b'{'), chunk_mask(block, b'}'));
+    let (lbracket, rbracket) = (chunk_mask(block, b'['), chunk_mask(block, b']'));
+    Classes {
+        quote: chunk_mask(block, b'"'),
+        backslash: chunk_mask(block, b'\\'),
+        colon,
+        comma,
+        lbrace,
+        rbrace,
+        lbracket,
+        rbracket,
+        ops: colon | comma | lbrace | rbrace | lbracket | rbracket,
+        control: chunk_control(block),
+    }
+}
+
+/// The SSE2 block kernel: four 16-byte lanes, one `_mm_cmpeq_epi8` per
+/// lane and class, compressed with `_mm_movemask_epi8`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn classify_sse2(block: &[u8; 64]) -> Classes {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_cmpeq_epi8, _mm_loadu_si128, _mm_movemask_epi8, _mm_or_si128,
+        _mm_set1_epi8, _mm_setzero_si128,
+    };
+    // SAFETY: SSE2 is part of the x86_64 baseline, so every intrinsic
+    // below is available on this target. The only memory access is the
+    // unaligned `_mm_loadu_si128` of lane k at `block.as_ptr() + 16 * k`
+    // for k < 4, which reads bytes 16k..16k + 16 <= 64 of the 64-byte
+    // block.
+    unsafe {
+        let p = block.as_ptr();
+        let lanes: [__m128i; 4] = [0, 1, 2, 3].map(|k| _mm_loadu_si128(p.add(16 * k).cast()));
+        // One bit per byte of the block from four lane compare results.
+        let gather = |hits: [__m128i; 4]| {
+            hits.iter().enumerate().fold(0u64, |m, (k, &hit)| {
+                m | u64::from(_mm_movemask_epi8(hit) as u16) << (16 * k)
+            })
+        };
+        let hits = |byte: u8| {
+            let needle = _mm_set1_epi8(byte as i8);
+            lanes.map(|lane| _mm_cmpeq_epi8(lane, needle))
+        };
+        let op_hits = [b':', b',', b'{', b'}', b'[', b']'].map(hits);
+        let ops = op_hits[1..].iter().fold(op_hits[0], |acc, h| {
+            [0, 1, 2, 3].map(|k| _mm_or_si128(acc[k], h[k]))
+        });
+        let [colon, comma, lbrace, rbrace, lbracket, rbracket] = op_hits.map(gather);
+        let top3 = _mm_set1_epi8(0xE0u8 as i8);
+        let zero = _mm_setzero_si128();
+        Classes {
+            quote: gather(hits(b'"')),
+            backslash: gather(hits(b'\\')),
+            colon,
+            comma,
+            lbrace,
+            rbrace,
+            lbracket,
+            rbracket,
+            ops: gather(ops),
+            control: gather(lanes.map(|lane| _mm_cmpeq_epi8(_mm_and_si128(lane, top3), zero))),
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+use classify_sse2 as classify;
+#[cfg(not(target_arch = "x86_64"))]
+use classify_swar as classify;
+
+/// One block after the pass: its raw classes, its unescaped quotes, and
+/// its string mask.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    classes: Classes,
+    quote: u64,
+    string_mask: u64,
+}
+
+/// State the block pass carries from one block into the next.
+#[derive(Debug, Default)]
+struct Carry {
+    /// The block ends inside an odd-length backslash run, which escapes
+    /// the next block's first byte.
+    run_odd: bool,
+    /// All-ones when a string literal spans into the next block.
+    string: u64,
+}
+
+impl Carry {
+    /// Classifies one block, resolves its escaped quotes and extends the
+    /// string mask.
+    #[inline]
+    fn pass(&mut self, bytes: &[u8; 64]) -> Block {
+        let classes = classify(bytes);
+        let quote = if classes.backslash == 0 {
+            // Only the first byte can be escaped, by a run ending in the
+            // previous block.
+            let q = classes.quote & !u64::from(self.run_odd);
+            self.run_odd = false;
+            q
+        } else {
+            quote_bits_scalar(bytes, &mut self.run_odd)
+        };
+        let string_mask = string_word(quote, &mut self.string);
+        Block {
+            classes,
+            quote,
+            string_mask,
+        }
+    }
+}
+
+/// String mask of one word from its unescaped quotes: prefix-XOR with the
+/// carry from the previous word. The opening quote's own bit is set in
+/// the mask while the closing one is not; neither quote is a structural
+/// character, so the off-by-one at the quotes themselves is harmless.
+#[inline]
+fn string_word(quote: u64, carry: &mut u64) -> u64 {
+    let m = prefix_xor(quote) ^ *carry;
+    // The top bit says whether the word ends inside a string.
+    *carry = 0u64.wrapping_sub(m >> 63);
+    m
+}
+
+/// Runs the block pass over `input`, the last partial block copied into a
+/// space-padded buffer (spaces belong to no class, so padding adds no
+/// bits). `f` sees each block in order; returning `false` stops the pass,
+/// and `each_block` returns whether it ran to the end.
+#[inline]
+fn each_block(input: &[u8], mut f: impl FnMut(Block) -> bool) -> bool {
+    let mut carry = Carry::default();
+    let mut chunks = input.chunks_exact(64);
+    for chunk in &mut chunks {
+        if !f(carry.pass(chunk.try_into().expect("exact chunk"))) {
+            return false;
+        }
+    }
+    let rem = chunks.remainder();
+    if rem.is_empty() {
+        return true;
+    }
+    let mut padded = [b' '; 64];
+    padded[..rem.len()].copy_from_slice(rem);
+    f(carry.pass(&padded))
+}
+
+/// Builds all bitmaps for `input` with the block kernel and pass.
+/// [`build_scalar`] is the byte-at-a-time reference implementation the
+/// property tests compare against.
 pub fn build(input: &[u8]) -> Bitmaps {
     let mut bits = Bitmaps::default();
     bits.build_from(input);
@@ -158,8 +339,8 @@ fn quote_bits_scalar(chunk: &[u8; 64], carry_run_odd: &mut bool) -> u64 {
     q
 }
 
-/// Byte-at-a-time reference builder (the oracle for the word-parallel
-/// fast path; also what the parsing ablation benchmarks against).
+/// Byte-at-a-time reference builder (the oracle for the block kernel and
+/// pass; also what the parsing ablation benchmarks against).
 pub fn build_scalar(input: &[u8]) -> Bitmaps {
     let words = input.len().div_ceil(64);
     let mut bits = Bitmaps::default();
@@ -187,7 +368,17 @@ pub fn build_scalar(input: &[u8]) -> Bitmaps {
         }
         backslash_run = 0;
     }
-    bits.finish_masks(words);
+    let mut carry = 0u64;
+    for w in 0..words {
+        bits.string_mask[w] = string_word(bits.quote[w], &mut carry);
+        let outside = !bits.string_mask[w];
+        bits.colon[w] &= outside;
+        bits.comma[w] &= outside;
+        bits.lbrace[w] &= outside;
+        bits.rbrace[w] &= outside;
+        bits.lbracket[w] &= outside;
+        bits.rbracket[w] &= outside;
+    }
     bits
 }
 
@@ -212,98 +403,27 @@ impl Bitmaps {
         }
     }
 
-    /// String mask from the quote bitmap, then masks structural characters
-    /// that sit inside strings.
-    fn finish_masks(&mut self, words: usize) {
-        // String mask: prefix-XOR per word with cross-word carry. The
-        // opening quote's own bit is set in the mask while the closing
-        // one is not; neither quote is a structural character, so the
-        // off-by-one at the quotes themselves is harmless.
-        let mut carry = 0u64; // all-ones when a string spans into this word
-        for w in 0..words {
-            let m = prefix_xor(self.quote[w]) ^ carry;
-            self.string_mask[w] = m;
-            // Carry flips when the word holds an odd number of quotes.
-            if self.quote[w].count_ones() % 2 == 1 {
-                carry = !carry;
-            }
-        }
-        for w in 0..words {
-            let outside = !self.string_mask[w];
-            self.colon[w] &= outside;
-            self.comma[w] &= outside;
-            self.lbrace[w] &= outside;
-            self.rbrace[w] &= outside;
-            self.lbracket[w] &= outside;
-            self.rbracket[w] &= outside;
-        }
-    }
-
     /// Rebuilds the bitmaps in place for a new input, reusing the word
-    /// buffers — the per-record entry point of [`StructuralScanner`].
+    /// buffers.
     pub fn build_from(&mut self, input: &[u8]) {
-        let words = input.len().div_ceil(64);
-        self.reset(input.len(), words);
-
-        // Parity of the backslash run carried into the current chunk.
-        let mut carry_run_odd = false;
+        self.reset(input.len(), input.len().div_ceil(64));
         let mut w = 0usize;
-        let mut chunks = input.chunks_exact(64);
-        for chunk in &mut chunks {
-            let chunk: &[u8; 64] = chunk.try_into().expect("exact chunk");
-            self.colon[w] = chunk_mask(chunk, b':');
-            self.comma[w] = chunk_mask(chunk, b',');
-            self.lbrace[w] = chunk_mask(chunk, b'{');
-            self.rbrace[w] = chunk_mask(chunk, b'}');
-            self.lbracket[w] = chunk_mask(chunk, b'[');
-            self.rbracket[w] = chunk_mask(chunk, b']');
-            self.control[w] = chunk_control(chunk);
-            let bs = chunk_mask(chunk, b'\\');
-            self.backslash[w] = bs;
-            let mut q = chunk_mask(chunk, b'"');
-            if bs == 0 {
-                // Fast path: only the first byte can be escaped (by a run
-                // ending in the previous chunk).
-                if carry_run_odd {
-                    q &= !1u64;
-                }
-                carry_run_odd = false;
-            } else {
-                // Slow path: scalar escape-parity over this chunk.
-                q = quote_bits_scalar(chunk, &mut carry_run_odd);
-            }
-            self.quote[w] = q;
+        each_block(input, |b| {
+            let outside = !b.string_mask;
+            let c = &b.classes;
+            self.quote[w] = b.quote;
+            self.colon[w] = c.colon & outside;
+            self.comma[w] = c.comma & outside;
+            self.lbrace[w] = c.lbrace & outside;
+            self.rbrace[w] = c.rbrace & outside;
+            self.lbracket[w] = c.lbracket & outside;
+            self.rbracket[w] = c.rbracket & outside;
+            self.string_mask[w] = b.string_mask;
+            self.backslash[w] = c.backslash;
+            self.control[w] = c.control;
             w += 1;
-        }
-        // Tail (< 64 bytes): scalar.
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let base = w * 64;
-            let mut run_odd = carry_run_odd;
-            for (i, &b) in rem.iter().enumerate() {
-                let bit = 1u64 << ((base + i) % 64);
-                if b < 0x20 {
-                    self.control[w] |= bit;
-                }
-                match b {
-                    b'\\' => {
-                        self.backslash[w] |= bit;
-                        run_odd = !run_odd;
-                        continue;
-                    }
-                    b'"' if !run_odd => self.quote[w] |= bit,
-                    b':' => self.colon[w] |= bit,
-                    b',' => self.comma[w] |= bit,
-                    b'{' => self.lbrace[w] |= bit,
-                    b'}' => self.rbrace[w] |= bit,
-                    b'[' => self.lbracket[w] |= bit,
-                    b']' => self.rbracket[w] |= bit,
-                    _ => {}
-                }
-                run_odd = false;
-            }
-        }
-        self.finish_masks(words);
+            true
+        });
     }
 
     /// Iterates the set-bit positions of one bitmap.
@@ -319,19 +439,6 @@ impl Bitmaps {
         self.string_mask
             .get(pos / 64)
             .is_some_and(|w| w & (1 << (pos % 64)) != 0)
-    }
-
-    /// The OR of every structural bitmap for one word — quotes, colons,
-    /// commas, braces, brackets — the merged stream the scanner walks.
-    #[inline]
-    fn structural_word(&self, w: usize) -> u64 {
-        self.quote[w]
-            | self.colon[w]
-            | self.comma[w]
-            | self.lbrace[w]
-            | self.rbrace[w]
-            | self.lbracket[w]
-            | self.rbracket[w]
     }
 
     #[inline]
@@ -390,9 +497,22 @@ impl Iterator for BitIter {
 /// The root-level field names a consumer (compiled schema, shred plan)
 /// actually reads — the projection the scanner pushes down. Sorted for
 /// binary search; keys compare as raw UTF-8 bytes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct FieldSet {
     names: Vec<Box<[u8]>>,
+    /// Process-unique identity, shared only by clones (whose names are
+    /// equal): what a scanner's speculation hints are keyed on.
+    id: u64,
+}
+
+/// Source of [`FieldSet`] identities. `Relaxed` suffices: the counter
+/// publishes no other data, and `fetch_add` alone keeps values unique.
+static NEXT_FIELD_SET: AtomicU64 = AtomicU64::new(0);
+
+impl Default for FieldSet {
+    fn default() -> Self {
+        FieldSet::new(Vec::<String>::new())
+    }
 }
 
 impl FieldSet {
@@ -408,7 +528,10 @@ impl FieldSet {
             .collect();
         names.sort();
         names.dedup();
-        FieldSet { names }
+        FieldSet {
+            names,
+            id: NEXT_FIELD_SET.fetch_add(1, Ordering::Relaxed),
+        }
     }
 
     /// Whether `key` (raw, escape-free bytes) names a projected field.
@@ -488,13 +611,52 @@ const SPEC_ORDINALS: usize = 256;
 /// uniform records performs no allocation.
 #[derive(Debug, Default)]
 pub struct StructuralScanner {
-    bits: Bitmaps,
+    index: ScanIndex,
     stack: Vec<u8>,
     fields: Vec<ProjectedField>,
     spec: Vec<SpecHint>,
-    /// Identity of the [`FieldSet`] the hints were computed against
-    /// (buffer address + length); hints are dropped when it changes.
-    spec_set: (usize, usize),
+    /// Identity of the [`FieldSet`] the hints were computed against;
+    /// hints are dropped when it changes.
+    spec_set: Option<u64>,
+}
+
+/// The scanner's per-record index: of the block pass's output, only the
+/// words the walk and the escape checks read, one `u64` per 64 bytes.
+#[derive(Debug, Default)]
+struct ScanIndex {
+    /// The positions the walk visits: structural operators outside
+    /// strings, plus unescaped quotes.
+    structural: Vec<u64>,
+    /// Unescaped quotes.
+    quote: Vec<u64>,
+    /// Every backslash.
+    backslash: Vec<u64>,
+    /// Bytes inside string literals, as in [`Bitmaps::string_mask`].
+    string_mask: Vec<u64>,
+}
+
+impl ScanIndex {
+    /// Rebuilds the index for `input`. Returns `false` at the first block
+    /// holding a control byte inside a string — always a parse error, so
+    /// the record is declined; the index then ends with that block.
+    fn build(&mut self, input: &[u8]) -> bool {
+        for v in [
+            &mut self.structural,
+            &mut self.quote,
+            &mut self.backslash,
+            &mut self.string_mask,
+        ] {
+            v.clear();
+        }
+        each_block(input, |b| {
+            self.structural
+                .push((b.classes.ops & !b.string_mask) | b.quote);
+            self.quote.push(b.quote);
+            self.backslash.push(b.classes.backslash);
+            self.string_mask.push(b.string_mask);
+            b.classes.control & b.string_mask == 0
+        })
+    }
 }
 
 /// What the walk expects at the next structural position.
@@ -518,25 +680,17 @@ enum Expect {
 
 /// Monotone cursor over the merged structural bitmap.
 struct Structurals<'a> {
-    bits: &'a Bitmaps,
-    words: usize,
+    words: &'a [u64],
     w: usize,
     word: u64,
 }
 
 impl<'a> Structurals<'a> {
-    fn new(bits: &'a Bitmaps) -> Self {
-        let words = bits.quote.len();
-        let word = if words > 0 {
-            bits.structural_word(0)
-        } else {
-            0
-        };
+    fn new(words: &'a [u64]) -> Self {
         Structurals {
-            bits,
             words,
             w: 0,
-            word,
+            word: words.first().copied().unwrap_or(0),
         }
     }
 
@@ -550,10 +704,7 @@ impl<'a> Structurals<'a> {
                 return Some(self.w * 64 + bit);
             }
             self.w += 1;
-            if self.w >= self.words {
-                return None;
-            }
-            self.word = self.bits.structural_word(self.w);
+            self.word = *self.words.get(self.w)?;
         }
     }
 }
@@ -576,10 +727,9 @@ impl StructuralScanner {
 
         // Speculation hints are only valid against the set they were
         // resolved with; a different set invalidates them.
-        let set_id = (set.names.as_ptr() as usize, set.names.len());
-        if self.spec_set != set_id {
+        if self.spec_set != Some(set.id) {
             self.spec.clear();
-            self.spec_set = set_id;
+            self.spec_set = Some(set.id);
         }
 
         // The fast path only serves object roots: projection is
@@ -592,27 +742,16 @@ impl StructuralScanner {
             return false;
         }
 
-        self.bits.build_from(input);
-
-        // Whole-line prechecks, word-parallel: control bytes inside
-        // strings are always errors; backslashes get one escape-validity
-        // pass (`\uXXXX` punts to the full parser, which owns surrogate
-        // rules).
-        let words = self.bits.quote.len();
-        let mut has_backslash = false;
-        for w in 0..words {
-            if self.bits.control[w] & self.bits.string_mask[w] != 0 {
-                return false;
-            }
-            has_backslash |= self.bits.backslash[w] != 0;
-        }
-        if has_backslash && !self.escapes_ok(input) {
+        // Control bytes inside strings decline during the build;
+        // backslashes then get one escape-validity pass (`\uXXXX` punts
+        // to the full parser, which owns surrogate rules).
+        if !self.index.build(input) || !self.escapes_ok(input) {
             return false;
         }
 
-        let bits = std::mem::take(&mut self.bits);
-        let ok = self.walk(input, set, opts, &bits);
-        self.bits = bits;
+        let index = std::mem::take(&mut self.index);
+        let ok = self.walk(input, set, opts, &index);
+        self.index = index;
         ok
     }
 
@@ -625,11 +764,11 @@ impl StructuralScanner {
     /// back). Backslashes outside strings are structural errors.
     fn escapes_ok(&self, input: &[u8]) -> bool {
         let mut skip = 0usize;
-        for p in Bitmaps::positions(&self.bits.backslash) {
+        for p in Bitmaps::positions(&self.index.backslash) {
             if p < skip {
                 continue;
             }
-            if !self.bits.in_string(p) {
+            if !Bitmaps::bit_at(&self.index.string_mask, p) {
                 return false;
             }
             // Walk the backslash run; an odd-length run escapes the byte
@@ -693,9 +832,15 @@ impl StructuralScanner {
     /// gaps between them are validated as whitespace or one scalar,
     /// strings are jumped quote-to-quote, and depth is tracked on the
     /// container stack.
-    fn walk(&mut self, input: &[u8], set: &FieldSet, opts: &ScanOptions, bits: &Bitmaps) -> bool {
+    fn walk(
+        &mut self,
+        input: &[u8],
+        set: &FieldSet,
+        opts: &ScanOptions,
+        index: &ScanIndex,
+    ) -> bool {
         let len = input.len();
-        let mut st = Structurals::new(bits);
+        let mut st = Structurals::new(&index.structural);
         let mut pos = 0usize;
         let mut expect = Expect::Value;
         let mut ordinal = 0usize;
@@ -740,7 +885,7 @@ impl StructuralScanner {
                     // String value: jump to the closing quote — interior
                     // bytes were cleared by prechecks + string masking.
                     let Some(close) = st.next() else { return false };
-                    if !Bitmaps::bit_at(&bits.quote, close) {
+                    if !Bitmaps::bit_at(&index.quote, close) {
                         return false;
                     }
                     self.member_done(s..close + 1, &cur_key, cur_projected);
@@ -792,14 +937,14 @@ impl StructuralScanner {
                 }
                 (Expect::KeyOrClose | Expect::Key, b'"') => {
                     let Some(close) = st.next() else { return false };
-                    if !Bitmaps::bit_at(&bits.quote, close) {
+                    if !Bitmaps::bit_at(&index.quote, close) {
                         return false;
                     }
                     if self.stack.len() == 1 {
                         let key = s + 1..close;
                         // Escaped root keys would need unescaping before
                         // set membership — fall back.
-                        if Bitmaps::any_in_range(&bits.backslash, key.clone()) {
+                        if Bitmaps::any_in_range(&index.backslash, key.clone()) {
                             return false;
                         }
                         cur_projected = self.key_projected(ordinal, &input[key.clone()], set);
@@ -898,6 +1043,7 @@ fn valid_scalar(tok: &[u8]) -> bool {
 mod tests {
     use super::*;
     use crate::{parse_with, ParserOptions};
+    use proptest::prelude::*;
 
     fn colon_positions(s: &str) -> Vec<usize> {
         let b = build(s.as_bytes());
@@ -1179,6 +1325,121 @@ mod tests {
         assert!(sc.scan(doc.as_bytes(), &set, &opts));
         assert_eq!(sc.fields().len(), 1);
         assert_eq!(&doc[sc.fields()[0].value.clone()], "2");
+    }
+
+    #[test]
+    fn speculation_hints_do_not_outlive_their_set() {
+        // Allocated first, so the second set's buffers can land where the
+        // first set's lived: hints must follow the set, not its address.
+        let name_b = "b".to_string();
+        let doc = r#"{"a": 1, "b": 2}"#;
+        let mut sc = StructuralScanner::new();
+        let opts = ScanOptions::default();
+        {
+            let set_a = FieldSet::new(["a".to_string()]);
+            assert!(sc.scan(doc.as_bytes(), &set_a, &opts));
+        }
+        let set_b = FieldSet::new([name_b]);
+        assert!(sc.scan(doc.as_bytes(), &set_b, &opts));
+        let spans: Vec<&str> = sc.fields().iter().map(|f| &doc[f.value.clone()]).collect();
+        assert_eq!(spans, ["2"]);
+        // A clone is the same set and keeps the hints.
+        assert!(sc.scan(doc.as_bytes(), &set_b.clone(), &opts));
+        assert_eq!(sc.spec_set, Some(set_b.id));
+    }
+
+    #[test]
+    fn control_byte_in_a_string_in_the_padded_tail_declines() {
+        let doc = format!("{{\"a\": \"{}\u{1}\"}}", "x".repeat(70));
+        let ctl = doc.find('\u{1}').unwrap();
+        assert!(doc.len() % 64 != 0 && ctl / 64 == doc.len() / 64);
+        assert_eq!(scan_fields(&doc, &["a"]), None);
+        // Without the control byte the same record scans.
+        assert!(scan_fields(&doc.replace('\u{1}', "y"), &["a"]).is_some());
+    }
+
+    /// Bytes for the kernel and index properties: uniform over all 256
+    /// values, plus weight on the edges of the control mask and of a
+    /// signed byte compare, and on the characters the pass resolves.
+    fn block_byte() -> impl Strategy<Value = u8> {
+        prop_oneof![
+            any::<u8>(),
+            prop::sample::select(vec![0x00, 0x1F, 0x20, 0x7F, 0x80, 0xE0, 0xFF]),
+            prop::sample::select(b"\\\"\\\":,{}[] a".to_vec()),
+        ]
+    }
+
+    /// The scanner's index words must equal the same words derived from
+    /// the scalar reference, up to and including the block where the
+    /// build declines (the first with a control byte inside a string).
+    fn assert_index_matches_scalar(input: &[u8]) {
+        let mut index = ScanIndex::default();
+        let ran = index.build(input);
+        let slow = build_scalar(input);
+        let words = slow.quote.len();
+        let stop = (0..words).find(|&w| slow.control[w] & slow.string_mask[w] != 0);
+        assert_eq!(ran, stop.is_none(), "decline on {input:?}");
+        let n = stop.map_or(words, |w| w + 1);
+        let structural: Vec<u64> = (0..n)
+            .map(|w| {
+                slow.quote[w]
+                    | slow.colon[w]
+                    | slow.comma[w]
+                    | slow.lbrace[w]
+                    | slow.rbrace[w]
+                    | slow.lbracket[w]
+                    | slow.rbracket[w]
+            })
+            .collect();
+        assert_eq!(index.structural, structural, "structural on {input:?}");
+        assert_eq!(index.quote, slow.quote[..n], "quote on {input:?}");
+        assert_eq!(
+            index.string_mask,
+            slow.string_mask[..n],
+            "mask on {input:?}"
+        );
+        assert_eq!(
+            index.backslash,
+            slow.backslash[..n],
+            "backslash on {input:?}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[cfg(target_arch = "x86_64")]
+        #[test]
+        fn sse2_kernel_matches_swar(bytes in prop::collection::vec(block_byte(), 64)) {
+            let block: [u8; 64] = bytes.try_into().unwrap();
+            prop_assert_eq!(classify_sse2(&block), classify_swar(&block));
+        }
+
+        #[test]
+        fn scan_index_matches_scalar_at_every_length(
+            bytes in prop::collection::vec(block_byte(), 200)
+        ) {
+            for len in 0..=bytes.len() {
+                assert_index_matches_scalar(&bytes[..len]);
+            }
+        }
+
+        #[test]
+        fn scan_index_matches_scalar_across_the_last_block(
+            pad in 40usize..140,
+            run in 0usize..70,
+            tail in prop::collection::vec(prop::sample::select(b"\\\"x{:\n".to_vec()), 0..20)
+        ) {
+            // A backslash run that may cross into the padded last block.
+            let mut input = vec![b'"'];
+            input.resize(pad, b'x');
+            input.resize(pad + run, b'\\');
+            input.push(b'"');
+            input.extend_from_slice(&tail);
+            for len in pad..=input.len() {
+                assert_index_matches_scalar(&input[..len]);
+            }
+        }
     }
 
     #[test]

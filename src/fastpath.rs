@@ -1,4 +1,4 @@
-//! The fused fast parse path: SWAR structural scanning + projection
+//! The fused fast parse path: structural scanning + projection
 //! pushdown for the streaming pipeline.
 //!
 //! This module glues the pieces the tentpole crates provide into one
@@ -131,12 +131,13 @@ impl FastRecordParser {
     }
 }
 
-/// The SWAR fast path as a [`RecordDecoder`]: `decode_value` tries
+/// The structural fast path as a [`RecordDecoder`]: `decode_value` tries
 /// [`FastRecordParser::parse_record`] when a plan is present and falls
 /// back to the full recursive-descent parser (the Fad.js-style verified
 /// fallback), so with `plan: None` it reproduces the historical slow
-/// path byte for byte — one decoder covers both. This is how the SWAR
-/// scanner slots in behind the same seam every other source uses.
+/// path byte for byte — one decoder covers both. This is how the
+/// structural scanner slots in behind the same seam every other source
+/// uses.
 pub(crate) struct FastJsonDecoder {
     plan: Option<FastPlan>,
     limits: ParseLimits,

@@ -6,7 +6,7 @@
 //! sharding, scoped worker threads, shard-order fusion, first-error-line
 //! selection. Since the decoder-seam refactor the stages are also
 //! **source-agnostic**: each is generic over a [`RecordDecoder`]
-//! (NDJSON via [`JsonDecoder`], the SWAR fast path via the crate-private
+//! (NDJSON via [`JsonDecoder`], the structural fast path via the crate-private
 //! `FastJsonDecoder`, CSV via [`jsonx_syntax::CsvDecoder`], …), so the
 //! engine's work stealing, fault tolerance and out-of-core layers never
 //! assume JSON — the `*_decoded` entry points expose this directly. The
@@ -941,8 +941,8 @@ pub(crate) struct ValidateStage<'s, D> {
     pub(crate) options: ValidatorOptions,
     pub(crate) malformed_verdicts: bool,
     /// How record text becomes a document. The JSON paths pass
-    /// [`FastJsonDecoder`], whose `decode_value` tries the SWAR
-    /// projecting fast path first and falls back to the full parser —
+    /// [`FastJsonDecoder`], whose `decode_value` tries the projecting
+    /// structural fast path first and falls back to the full parser —
     /// verdicts are identical either way (the scanner never accepts a
     /// record the parser rejects). Any other decoder plugs in here
     /// unchanged.
@@ -1035,7 +1035,7 @@ pub fn validate_streaming_parallel(
     validate_parallel_impl(ndjson, schema, options, opts, None)
 }
 
-/// [`validate_streaming_parallel`] with the fused SWAR fast path enabled.
+/// [`validate_streaming_parallel`] with the fused structural fast path enabled.
 ///
 /// When the compiled schema is projectable
 /// ([`CompiledSchema::root_projection`]), each worker first runs the
@@ -1094,7 +1094,7 @@ pub fn validate_streaming_guarded(
     validate_guarded_impl(ndjson, schema, options, opts, fault, None)
 }
 
-/// [`validate_streaming_guarded`] with the fused SWAR fast path enabled.
+/// [`validate_streaming_guarded`] with the fused structural fast path enabled.
 ///
 /// Fast-path acceptance implies well-formedness, so a scanner-accepted
 /// record can never reach the fault layer as a parse reject; declined
@@ -1130,7 +1130,7 @@ fn validate_guarded_impl(
 }
 
 /// Streaming validation over any [`StreamSource`]; `fast` enables the
-/// SWAR projecting fast path when the schema supports it (verdicts are
+/// projecting structural fast path when the schema supports it (verdicts are
 /// identical either way). Semantics match
 /// [`validate_streaming_guarded`] / [`validate_streaming_guarded_fast`]
 /// on the same bytes; readers stream out-of-core with bounded resident
@@ -1492,7 +1492,7 @@ impl std::fmt::Display for TranslateLineError {
 pub(crate) struct TranslateStage<'t, D> {
     pub(crate) shredder: &'t Shredder,
     /// How record text becomes a document. The JSON paths pass
-    /// [`FastJsonDecoder`] (SWAR projection to the shred plan's root
+    /// [`FastJsonDecoder`] (structural-scanner projection to the shred plan's root
     /// fields, dotted skipped keys rejected so column paths can't alias,
     /// full-parser fallback — batches row-identical either way); any
     /// other decoder feeds the same shredder unchanged.
@@ -1569,7 +1569,7 @@ pub fn translate_streaming_parallel(
     translate_parallel_impl(ndjson, shredder, opts, None)
 }
 
-/// [`translate_streaming_parallel`] with the fused SWAR fast path enabled.
+/// [`translate_streaming_parallel`] with the fused structural fast path enabled.
 ///
 /// When the shredder carries a fixed record layout
 /// ([`Shredder::root_fields`]), each worker first runs the word-parallel
@@ -1625,7 +1625,7 @@ pub fn translate_streaming_guarded(
     translate_guarded_impl(ndjson, shredder, opts, fault, None)
 }
 
-/// [`translate_streaming_guarded`] with the fused SWAR fast path enabled.
+/// [`translate_streaming_guarded`] with the fused structural fast path enabled.
 ///
 /// Scanner-accepted records are well-formed objects, so they can reach
 /// the fault layer only through the central record-size guard (which runs
@@ -1657,7 +1657,7 @@ fn translate_guarded_impl(
 }
 
 /// Streaming schema-driven translation over any [`StreamSource`];
-/// `fast` enables the SWAR projecting fast path when the shredder's
+/// `fast` enables the projecting structural fast path when the shredder's
 /// layout supports it (batches are row-identical either way). Semantics
 /// match [`translate_streaming_guarded`] /
 /// [`translate_streaming_guarded_fast`] on the same bytes; readers
