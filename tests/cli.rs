@@ -492,3 +492,190 @@ fn translate_out_persists_jxc_and_cat_inspects_it() {
     let _ = std::fs::remove_file(&junk);
     let _ = std::fs::remove_file(&jxc);
 }
+
+// ---------------------------------------------------------------------------
+// Characterisation matrix: the streaming commands in every run mode
+// ---------------------------------------------------------------------------
+
+/// Runs the binary with no stdin and returns stdout, stderr and the exit
+/// code (`-1` when a signal ended the process).
+fn run_status(args: &[&str]) -> (String, String, i32) {
+    let out = Command::new(BIN)
+        .args(args)
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawn jsonx");
+    (
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+        out.status.code().unwrap_or(-1),
+    )
+}
+
+/// A per-test scratch directory, removed on drop.
+struct ScratchDir(std::path::PathBuf);
+
+impl ScratchDir {
+    fn new(tag: &str) -> ScratchDir {
+        let dir = std::env::temp_dir().join(format!("jsonx-cli-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        ScratchDir(dir)
+    }
+
+    fn write(&self, name: &str, bytes: impl AsRef<[u8]>) -> String {
+        let path = self.0.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        path.to_str().unwrap().to_string()
+    }
+
+    fn path(&self, name: &str) -> String {
+        self.0.join(name).to_str().unwrap().to_string()
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+const MATRIX_SCHEMA: &str =
+    r#"{"type":"object","properties":{"id":{"type":"integer"}},"required":["id"]}"#;
+
+/// A valid, an invalid, a blank and a malformed line (the invalid line
+/// comes first), then one more valid line; the clean variant drops the
+/// malformed line. The CSV pair has the same shape, with an extra cell as
+/// the malformed row.
+const MATRIX_FIXTURES: &[(&str, &str)] = &[
+    (
+        "dirty.ndjson",
+        "{\"id\":1,\"name\":\"a\"}\n{\"id\":\"x\",\"name\":\"b\"}\n\n{broken\n{\"id\":3}\n",
+    ),
+    (
+        "clean.ndjson",
+        "{\"id\":1,\"name\":\"a\"}\n{\"id\":\"x\",\"name\":\"b\"}\n\n{\"id\":3}\n",
+    ),
+    ("dirty.csv", "id,name\n1,a\nx,b\n\n4,d,extra\n3,c\n"),
+    ("clean.csv", "id,name\n1,a\nx,b\n\n3,c\n"),
+];
+
+/// The command line of one matrix cell. `{Q}` in an expected stderr
+/// stands for the quarantine path.
+fn matrix_args(dir: &ScratchDir, command: &str, mode: &str, fixture: &str) -> Vec<String> {
+    let schema = dir.path("schema.json");
+    let mut args: Vec<String> = match command {
+        "infer" => vec!["infer".into(), "--streaming".into()],
+        "infer-validate" => vec!["infer".into(), "--validate".into(), schema],
+        "validate" => vec![
+            "validate".into(),
+            "--streaming".into(),
+            "--schema".into(),
+            schema,
+        ],
+        "translate" => vec!["translate".into(), "--streaming".into()],
+        other => panic!("unknown matrix command {other}"),
+    };
+    let ndjson = dir.path(&format!("{fixture}.ndjson"));
+    let tail: Vec<String> = match mode {
+        "plain" => vec![ndjson],
+        "workers" => vec!["--workers".into(), "2".into(), ndjson],
+        "skip" => vec![
+            "--on-error".into(),
+            "skip".into(),
+            "--quarantine".into(),
+            dir.path("q.ndjson"),
+            ndjson,
+        ],
+        "chunk" => vec!["--chunk-bytes".into(), "64".into(), ndjson],
+        "input" => vec!["--input".into(), ndjson],
+        "csv" => vec![
+            "--format".into(),
+            "csv".into(),
+            dir.path(&format!("{fixture}.csv")),
+        ],
+        other => panic!("unknown matrix mode {other}"),
+    };
+    args.extend(tail);
+    args
+}
+
+/// `(command, mode, fixture, exit code, stdout, stderr)`.
+type MatrixCell = (
+    &'static str,
+    &'static str,
+    &'static str,
+    i32,
+    &'static str,
+    &'static str,
+);
+
+const MATRIX: &[MatrixCell] = &[
+    ("infer", "plain", "dirty", 1, "", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
+    ("infer", "workers", "dirty", 1, "", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
+    ("infer", "skip", "dirty", 0, "{id: (Int + Str), name?: Str}\n", "» 1 diagnostics quarantined to {Q}\n» 3 documents (streaming), equivalence K, type size 7 nodes, 1 rejected\n"),
+    ("infer", "chunk", "dirty", 1, "", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
+    ("infer", "input", "dirty", 1, "", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
+    ("infer", "csv", "dirty", 1, "", "jsonx: line 4: trailing data after JSON value at line 1, column 5 (byte 4)\n"),
+    ("infer-validate", "plain", "dirty", 1, "", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
+    ("infer-validate", "workers", "dirty", 1, "", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
+    ("infer-validate", "skip", "dirty", 0, "doc 1: /id: [type] expected integer, found string\n{id: (Int + Str), name?: Str}\n", "» 1 diagnostics quarantined to {Q}\n» 2/3 documents valid (combined pass), equivalence K, type size 7 nodes, 1 rejected\n"),
+    ("infer-validate", "chunk", "dirty", 1, "", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
+    ("infer-validate", "input", "dirty", 1, "", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
+    ("infer-validate", "csv", "dirty", 1, "", "jsonx: line 4: trailing data after JSON value at line 1, column 5 (byte 4)\n"),
+    ("validate", "plain", "dirty", 1, "doc 1: /id: [type] expected integer, found string\n", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
+    ("validate", "workers", "dirty", 1, "doc 1: /id: [type] expected integer, found string\n", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
+    ("validate", "skip", "dirty", 1, "doc 1: /id: [type] expected integer, found string\n", "» 1 diagnostics quarantined to {Q}\n» 2/3 documents valid (streaming), 1 rejected\njsonx: 1 invalid documents\n"),
+    ("validate", "chunk", "dirty", 1, "", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
+    ("validate", "input", "dirty", 1, "", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
+    ("validate", "csv", "dirty", 1, "", "jsonx: line 4: trailing data after JSON value at line 1, column 5 (byte 4)\n"),
+    ("translate", "plain", "dirty", 1, "", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
+    ("translate", "workers", "dirty", 1, "", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
+    ("translate", "skip", "dirty", 0, "id:json, name:utf8\n", "» 1 diagnostics quarantined to {Q}\n» 2 columns x 3 rows (streaming), 1 rejected\n"),
+    ("translate", "chunk", "dirty", 1, "", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
+    ("translate", "input", "dirty", 1, "", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
+    ("translate", "csv", "dirty", 1, "", "jsonx: line 4: trailing data after JSON value at line 1, column 5 (byte 4)\n"),
+    ("infer", "plain", "clean", 0, "{id: (Int + Str), name?: Str}\n", "» 3 documents (streaming), equivalence K, type size 7 nodes\n"),
+    ("infer", "workers", "clean", 0, "{id: (Int + Str), name?: Str}\n", "» 3 documents (streaming), equivalence K, type size 7 nodes\n"),
+    ("infer", "skip", "clean", 0, "{id: (Int + Str), name?: Str}\n", "» 0 diagnostics quarantined to {Q}\n» 3 documents (streaming), equivalence K, type size 7 nodes, 0 rejected\n"),
+    ("infer", "chunk", "clean", 0, "{id: (Int + Str), name?: Str}\n", "» 3 documents (streaming), equivalence K, type size 7 nodes, 0 rejected\n"),
+    ("infer", "input", "clean", 0, "{id: (Int + Str), name?: Str}\n", "» 3 documents (streaming), equivalence K, type size 7 nodes, 0 rejected\n"),
+    ("infer", "csv", "clean", 0, "{id: (Int + Str), name: Str}\n", "» 3 documents (streaming csv), equivalence K, type size 7 nodes, 0 rejected\n"),
+    ("infer-validate", "plain", "clean", 0, "doc 1: /id: [type] expected integer, found string\n{id: (Int + Str), name?: Str}\n", "» 2/3 documents valid (combined pass), equivalence K, type size 7 nodes\n"),
+    ("infer-validate", "workers", "clean", 0, "doc 1: /id: [type] expected integer, found string\n{id: (Int + Str), name?: Str}\n", "» 2/3 documents valid (combined pass), equivalence K, type size 7 nodes\n"),
+    ("infer-validate", "skip", "clean", 0, "doc 1: /id: [type] expected integer, found string\n{id: (Int + Str), name?: Str}\n", "» 0 diagnostics quarantined to {Q}\n» 2/3 documents valid (combined pass), equivalence K, type size 7 nodes, 0 rejected\n"),
+    ("infer-validate", "chunk", "clean", 0, "doc 1: invalid\n{id: (Int + Str), name?: Str}\n", "» 2/3 documents valid (combined pass), equivalence K, type size 7 nodes, 0 rejected\n"),
+    ("infer-validate", "input", "clean", 0, "doc 1: invalid\n{id: (Int + Str), name?: Str}\n", "» 2/3 documents valid (combined pass), equivalence K, type size 7 nodes, 0 rejected\n"),
+    ("infer-validate", "csv", "clean", 0, "doc 1: invalid\n{id: (Int + Str), name: Str}\n", "» 2/3 documents valid (combined pass, csv), equivalence K, type size 7 nodes, 0 rejected\n"),
+    ("validate", "plain", "clean", 1, "doc 1: /id: [type] expected integer, found string\n", "» 2/3 documents valid (streaming)\njsonx: 1 invalid documents\n"),
+    ("validate", "workers", "clean", 1, "doc 1: /id: [type] expected integer, found string\n", "» 2/3 documents valid (streaming)\njsonx: 1 invalid documents\n"),
+    ("validate", "skip", "clean", 1, "doc 1: /id: [type] expected integer, found string\n", "» 0 diagnostics quarantined to {Q}\n» 2/3 documents valid (streaming), 0 rejected\njsonx: 1 invalid documents\n"),
+    ("validate", "chunk", "clean", 1, "doc 1: invalid\n", "» 2/3 documents valid (streaming), 0 rejected\njsonx: 1 invalid documents\n"),
+    ("validate", "input", "clean", 1, "doc 1: invalid\n", "» 2/3 documents valid (streaming), 0 rejected\njsonx: 1 invalid documents\n"),
+    ("validate", "csv", "clean", 1, "doc 1: invalid\n", "» 2/3 documents valid (streaming csv), 0 rejected\njsonx: 1 invalid documents\n"),
+    ("translate", "plain", "clean", 0, "id:json, name:utf8\n", "» 2 columns x 3 rows (streaming)\n"),
+    ("translate", "workers", "clean", 0, "id:json, name:utf8\n", "» 2 columns x 3 rows (streaming)\n"),
+    ("translate", "skip", "clean", 0, "id:json, name:utf8\n", "» 0 diagnostics quarantined to {Q}\n» 2 columns x 3 rows (streaming), 0 rejected\n"),
+    ("translate", "chunk", "clean", 0, "id:json, name:utf8\n", "» 2 columns x 3 rows (streaming), 0 rejected\n"),
+    ("translate", "input", "clean", 0, "id:json, name:utf8\n", "» 2 columns x 3 rows (streaming), 0 rejected\n"),
+    ("translate", "csv", "clean", 0, "id:json, name:utf8\n", "» 2 columns x 3 rows (streaming csv), 0 rejected\n"),
+];
+
+#[test]
+fn streaming_commands_characterised_in_every_mode() {
+    let dir = ScratchDir::new("matrix");
+    dir.write("schema.json", MATRIX_SCHEMA);
+    for (name, text) in MATRIX_FIXTURES {
+        dir.write(name, text);
+    }
+    let quarantine = dir.path("q.ndjson");
+    for &(command, mode, fixture, code, stdout, stderr) in MATRIX {
+        let args = matrix_args(&dir, command, mode, fixture);
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let (out, err, status) = run_status(&args);
+        let cell = format!("{command} / {mode} / {fixture}");
+        assert_eq!(status, code, "{cell}: exit code (stderr: {err})");
+        assert_eq!(out, stdout, "{cell}: stdout");
+        assert_eq!(err, stderr.replace("{Q}", &quarantine), "{cell}: stderr");
+    }
+}
