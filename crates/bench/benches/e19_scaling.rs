@@ -19,8 +19,8 @@
 use criterion::{black_box, BenchmarkId, Criterion};
 use jsonx::core::{fuse, type_size, Equivalence, JType};
 use jsonx::pipeline::{
-    chunk_lines, run_lines_static_caught, run_lines_stealing, run_reader_caught, shard_lines,
-    ChunkOptions, PipelineOptions, ShardFold,
+    chunk_lines, run_lines_static_caught, run_lines_stealing, run_source_controlled, shard_lines,
+    ChunkOptions, PipelineOptions, ReaderChunks, RunControl, ShardFold,
 };
 use jsonx::{StreamTyper, StreamingOptions};
 use jsonx_bench::{banner, criterion};
@@ -247,8 +247,15 @@ fn main() {
     };
     let file = std::fs::File::open(&path).expect("reopen corpus file");
     let t = Instant::now();
-    let outcome = run_reader_caught(BufReader::new(file), &fold, opts, chunk)
-        .expect("out-of-core run cannot fail on a clean corpus");
+    let source = ReaderChunks::new(BufReader::new(file), chunk.chunk_bytes, chunk.ring);
+    let outcome = run_source_controlled(
+        &source,
+        &fold,
+        opts.workers,
+        chunk.timing,
+        RunControl::default(),
+    )
+    .expect("out-of-core run cannot fail on a clean corpus");
     let ooc_time = t.elapsed();
     assert_eq!(
         outcome.out, reference.out,

@@ -12,7 +12,7 @@ use crate::fuse::fuse;
 use crate::infer::infer_value;
 use crate::types::JType;
 use jsonx_data::Value;
-use jsonx_pipeline::{run_slice, ShardFold};
+use jsonx_pipeline::{run_slice_caught, ShardFold};
 
 /// Parallel execution settings — the shared item-sharded options of
 /// `jsonx-pipeline`, kept under this crate's historical name.
@@ -55,10 +55,11 @@ pub fn infer_collection_parallel(
     // The inference fold contains no fallible code paths of its own, so a
     // poisoned shard can only mean a bug — surface it loudly rather than
     // returning a silently incomplete type.
-    match run_slice(docs, &InferValueFold { equiv }, opts) {
-        Ok(ty) => ty,
-        Err(panic) => panic!("inference {panic}"),
+    let outcome = run_slice_caught(docs, &InferValueFold { equiv }, opts);
+    if let Some(panic) = outcome.poisoned.first() {
+        panic!("inference {panic}");
     }
+    outcome.out
 }
 
 #[cfg(test)]

@@ -67,6 +67,16 @@ impl ChunkOptions {
             ..Default::default()
         }
     }
+
+    /// The chunk target of a reader source: [`chunk_bytes`](Self::chunk_bytes),
+    /// or [`DEFAULT_CHUNK_BYTES`] when it is automatic.
+    pub fn reader_chunk_bytes(&self) -> usize {
+        if self.chunk_bytes > 0 {
+            self.chunk_bytes
+        } else {
+            DEFAULT_CHUNK_BYTES
+        }
+    }
 }
 
 /// One claimed unit of work: a newline-aligned run of whole lines.

@@ -6,8 +6,8 @@
 //! - **Static sharding** ([`run_lines_static_caught`]): the input is
 //!   pre-split into one shard per worker and each worker folds exactly
 //!   one shard. Simple, but a straggler shard idles every other worker.
-//! - **Work-stealing chunk dispatch** ([`run_lines_caught`],
-//!   [`run_reader_caught`], [`run_source_caught`]): the input becomes a
+//! - **Work-stealing chunk dispatch** ([`run_lines_stealing`],
+//!   [`run_source_controlled`]): the input becomes a
 //!   queue of sequence-numbered newline-aligned chunks
 //!   ([`ChunkSource`]) and a fixed pool of workers claims chunks until
 //!   the queue drains, so fast workers steal the share a slow worker
@@ -32,14 +32,13 @@
 //! out of scope for the line-based entry points.
 
 use crate::checkpoint::{CheckpointSink, ChunkMeta};
-use crate::chunk::{ChunkError, ChunkOptions, ChunkSource, ReaderChunks, SliceChunks};
+use crate::chunk::{ChunkError, ChunkOptions, ChunkSource, SliceChunks};
 use crate::chunk::{CHUNKS_PER_WORKER, DEFAULT_CHUNK_BYTES};
 use crate::options::{PipelineOptions, SliceOptions};
 use crate::report::{ShardPanic, WorkerTiming};
 use crate::shard::shard_lines;
 use jsonx_data::crc32;
 use std::borrow::Cow;
-use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -119,7 +118,7 @@ pub struct RunOutcome<Out> {
 
 /// External control for a dispatched run: an optional per-chunk commit
 /// hook and an optional graceful-stop latch. The default (no sink, no
-/// latch) is the plain [`run_source_caught`] behaviour.
+/// latch) is a plain run over the whole source.
 pub struct RunControl<'a, Out> {
     /// Called once per successfully folded chunk with its [`ChunkMeta`]
     /// and result, before the result is fused (see [`CheckpointSink`]).
@@ -166,70 +165,46 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs the whole fold on the caller's thread as one panic-isolated
-/// shard — the tiny-input / single-worker path.
-fn run_lines_sequential<F: ShardFold<str>>(input: &str, fold: &F) -> RunOutcome<F::Out> {
+/// shard — the tiny-input / single-worker path of both the line and the
+/// slice engines. A panic poisons the shard: the outcome records it and
+/// carries the value an empty input folds to.
+fn run_sequential<'i, Item: ?Sized + 'i, F: ShardFold<Item>>(
+    fold: &F,
+    items: impl Iterator<Item = &'i Item>,
+) -> RunOutcome<F::Out> {
     let caught = catch_unwind(AssertUnwindSafe(|| {
         let mut state = fold.init();
-        for (i, line) in input.lines().enumerate() {
-            fold.feed(&mut state, line, i);
+        for (i, item) in items.enumerate() {
+            fold.feed(&mut state, item, i);
         }
         fold.finish(state)
     }));
-    match caught {
-        Ok(out) => RunOutcome {
-            out,
-            shards: 1,
-            poisoned: Vec::new(),
-            timings: Vec::new(),
-            interrupted: false,
-        },
-        Err(payload) => RunOutcome {
-            out: fuse_outs(fold, Vec::new()),
-            shards: 1,
-            poisoned: vec![ShardPanic {
-                shard: 0,
-                first_record: 0,
-                message: panic_message(payload.as_ref()),
-            }],
-            timings: Vec::new(),
-            interrupted: false,
-        },
-    }
+    let result = caught.map_err(|payload| ShardPanic {
+        shard: 0,
+        first_record: 0,
+        message: panic_message(payload.as_ref()),
+    });
+    collect_outcome(fold, 1, vec![result])
 }
 
-/// Runs `fold` over the lines of `input`, isolating worker panics.
+/// Runs `fold` over the lines of an in-memory input, isolating worker
+/// panics.
 ///
 /// Every line — including blank ones — is fed with its global line index,
 /// exactly as a sequential `input.lines().enumerate()` would produce it.
-/// Inputs below the options' shard threshold (or a single worker) run
-/// sequentially on the caller's thread; results are identical either way.
-/// Parallel inputs dispatch through the work-stealing chunk queue (see
-/// [`run_lines_stealing`]) with automatic chunk sizing; the fused result
-/// is identical to the historical static-shard dispatch
-/// ([`run_lines_static_caught`]) because chunks merge in sequence order.
-/// Each chunk's fold (the sequential path counts as one chunk) runs under
-/// `catch_unwind`: a panic poisons only that chunk, and the outcome
-/// records it instead of unwinding the caller.
-pub fn run_lines_caught<F: ShardFold<str>>(
-    input: &str,
-    fold: &F,
-    opts: PipelineOptions,
-) -> RunOutcome<F::Out> {
-    run_lines_stealing(input, fold, opts, ChunkOptions::default())
-}
-
-/// Work-stealing dispatch over an in-memory input: the input is pre-split
-/// into newline-aligned chunks (roughly [`ChunkOptions::chunk_bytes`]
-/// each, or an automatic size targeting [`CHUNKS_PER_WORKER`] chunks per
-/// worker) and a fixed worker pool claims chunks through a shared atomic
-/// cursor until the queue drains. Results fuse in chunk-sequence order,
-/// so the outcome equals [`run_lines_static_caught`] for every worker
-/// count and chunk size.
+/// The input is pre-split into newline-aligned chunks (roughly
+/// [`ChunkOptions::chunk_bytes`] each, or an automatic size targeting
+/// [`CHUNKS_PER_WORKER`] chunks per worker) and a fixed worker pool claims
+/// chunks through a shared atomic cursor until the queue drains. Results
+/// fuse in chunk-sequence order, so the outcome equals
+/// [`run_lines_static_caught`] for every worker count and chunk size.
+/// Each chunk's fold runs under `catch_unwind`: a panic poisons only that
+/// chunk, and the outcome records it instead of unwinding the caller.
 ///
-/// Sequential fallback: tiny inputs and single-worker runs fold on the
-/// caller's thread exactly like [`run_lines_caught`] — unless timing was
-/// requested, in which case the run always dispatches through the chunk
-/// queue so the timing account exists.
+/// Sequential fallback: inputs below the options' shard threshold and
+/// single-worker runs fold on the caller's thread as one chunk — unless
+/// timing was requested, in which case the run always dispatches through
+/// the chunk queue so the timing account exists.
 pub fn run_lines_stealing<F: ShardFold<str>>(
     input: &str,
     fold: &F,
@@ -237,7 +212,7 @@ pub fn run_lines_stealing<F: ShardFold<str>>(
     chunk: ChunkOptions,
 ) -> RunOutcome<F::Out> {
     if !chunk.timing && opts.should_run_sequential(input.len()) {
-        return run_lines_sequential(input, fold);
+        return run_sequential(fold, input.lines());
     }
     let workers = opts.effective_workers().max(1);
     let target = if chunk.chunk_bytes > 0 {
@@ -246,32 +221,8 @@ pub fn run_lines_stealing<F: ShardFold<str>>(
         auto_chunk_bytes(input.len(), workers, opts.min_shard_bytes)
     };
     let source = SliceChunks::new(input, target);
-    run_source_caught(&source, fold, workers, chunk.timing)
+    run_source_controlled(&source, fold, workers, chunk.timing, RunControl::default())
         .unwrap_or_else(|_| unreachable!("in-memory chunk sources cannot fail"))
-}
-
-/// Out-of-core dispatch: reads NDJSON incrementally from any [`BufRead`]
-/// through a bounded ring of chunk buffers ([`ReaderChunks`]), so peak
-/// resident memory is `O(workers × chunk_bytes)` regardless of input
-/// size. Same worker pool, sequence-ordered merge, and panic isolation
-/// as [`run_lines_stealing`]; returns `Err` on I/O failure or non-UTF-8
-/// input (partial results are discarded — an unreadable input has no
-/// trustworthy line numbering).
-pub fn run_reader_caught<R: BufRead + Send, F: ShardFold<str>>(
-    reader: R,
-    fold: &F,
-    opts: PipelineOptions,
-    chunk: ChunkOptions,
-) -> Result<RunOutcome<F::Out>, ChunkError> {
-    let workers = opts.effective_workers().max(1);
-    let target = if chunk.chunk_bytes > 0 {
-        chunk.chunk_bytes
-    } else {
-        DEFAULT_CHUNK_BYTES
-    };
-    let ring = if chunk.ring > 0 { chunk.ring } else { workers };
-    let source = ReaderChunks::new(reader, target, ring);
-    run_source_caught(&source, fold, workers, chunk.timing)
 }
 
 /// Automatic chunk sizing for in-memory inputs: aim for
@@ -293,23 +244,17 @@ fn auto_chunk_bytes(input_len: usize, workers: usize, min_shard_bytes: usize) ->
 /// [`ShardFold::take`]n result in sequence order. A panic poisons only
 /// the chunk being folded (the worker discards its state and re-inits on
 /// its next claim); a source error aborts the run.
-pub fn run_source_caught<S: ChunkSource, F: ShardFold<str>>(
-    source: &S,
-    fold: &F,
-    workers: usize,
-    timing: bool,
-) -> Result<RunOutcome<F::Out>, ChunkError> {
-    run_source_controlled(source, fold, workers, timing, RunControl::default())
-}
-
-/// [`run_source_caught`] with external [`RunControl`]: the same
-/// work-stealing dispatch, plus a per-chunk commit hook (fired on the
-/// claiming worker, after the chunk's fold succeeds and before its
-/// result is fused) and a graceful-stop latch checked before every
-/// claim. When the latch trips, workers finish the chunks they hold and
-/// stop; the outcome carries `interrupted: true` and the fused prefix of
-/// results — which, combined with a [`CheckpointSink`] journal, is what
-/// makes an interrupted run resumable.
+///
+/// `control` adds a per-chunk commit hook (fired on the claiming worker,
+/// after the chunk's fold succeeds and before its result is fused) and a
+/// graceful-stop latch checked before every claim. When the latch trips,
+/// workers finish the chunks they hold and stop; the outcome carries
+/// `interrupted: true` and the fused prefix of results — which, combined
+/// with a [`CheckpointSink`] journal, is what makes an interrupted run
+/// resumable. Out-of-core runs pass a
+/// [`ReaderChunks`](crate::ReaderChunks) source, whose bounded ring of
+/// chunk buffers keeps peak residency at `O(workers × chunk_bytes)`
+/// regardless of input size.
 pub fn run_source_controlled<S: ChunkSource, F: ShardFold<str>>(
     source: &S,
     fold: &F,
@@ -442,7 +387,7 @@ pub fn run_lines_static_caught<F: ShardFold<str>>(
     opts: PipelineOptions,
 ) -> RunOutcome<F::Out> {
     if opts.should_run_sequential(input.len()) {
-        return run_lines_sequential(input, fold);
+        return run_sequential(fold, input.lines());
     }
     let shards = shard_lines(input, opts.effective_workers());
     let shard_count = shards.len();
@@ -483,7 +428,7 @@ pub fn run_lines_static_caught<F: ShardFold<str>>(
 
 /// Runs `fold` over `items`, split into contiguous item chunks claimed by
 /// a work-stealing worker pool, isolating worker panics (see
-/// [`run_lines_caught`] for the panic contract).
+/// [`run_lines_stealing`] for the panic contract).
 ///
 /// Chunks hold roughly `len / (workers × CHUNKS_PER_WORKER)` items (never
 /// fewer than `min_chunk`) and are claimed through a shared atomic
@@ -495,33 +440,7 @@ pub fn run_slice_caught<T: Sync, F: ShardFold<T>>(
     opts: SliceOptions,
 ) -> RunOutcome<F::Out> {
     if opts.should_run_sequential(items.len()) {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            let mut state = fold.init();
-            for (i, item) in items.iter().enumerate() {
-                fold.feed(&mut state, item, i);
-            }
-            fold.finish(state)
-        }));
-        return match caught {
-            Ok(out) => RunOutcome {
-                out,
-                shards: 1,
-                poisoned: Vec::new(),
-                timings: Vec::new(),
-                interrupted: false,
-            },
-            Err(payload) => RunOutcome {
-                out: fuse_outs(fold, Vec::new()),
-                shards: 1,
-                poisoned: vec![ShardPanic {
-                    shard: 0,
-                    first_record: 0,
-                    message: panic_message(payload.as_ref()),
-                }],
-                timings: Vec::new(),
-                interrupted: false,
-            },
-        };
+        return run_sequential(fold, items.iter());
     }
     let workers = opts.effective_workers().max(1);
     let chunk = items
@@ -608,38 +527,6 @@ fn collect_outcome<Item: ?Sized, F: ShardFold<Item>>(
     }
 }
 
-/// Runs `fold` over the lines of `input`, failing cleanly (with shard
-/// provenance) if any worker panics.
-///
-/// This is the fail-fast face of [`run_lines_caught`]: same sharding and
-/// fusion, but a poisoned shard turns the whole run into an `Err` instead
-/// of surfacing a degraded result.
-pub fn run_lines<F: ShardFold<str>>(
-    input: &str,
-    fold: &F,
-    opts: PipelineOptions,
-) -> Result<F::Out, ShardPanic> {
-    let outcome = run_lines_caught(input, fold, opts);
-    match outcome.poisoned.into_iter().next() {
-        None => Ok(outcome.out),
-        Some(first) => Err(first),
-    }
-}
-
-/// Runs `fold` over `items`, failing cleanly (with shard provenance) if
-/// any worker panics — the fail-fast face of [`run_slice_caught`].
-pub fn run_slice<T: Sync, F: ShardFold<T>>(
-    items: &[T],
-    fold: &F,
-    opts: SliceOptions,
-) -> Result<F::Out, ShardPanic> {
-    let outcome = run_slice_caught(items, fold, opts);
-    match outcome.poisoned.into_iter().next() {
-        None => Ok(outcome.out),
-        Some(first) => Err(first),
-    }
-}
-
 /// Shard-order fusion; an empty shard list folds an empty state so the
 /// engine returns the same value the sequential path gives empty input.
 fn fuse_outs<Item: ?Sized, F: ShardFold<Item>>(fold: &F, outs: Vec<F::Out>) -> F::Out {
@@ -707,16 +594,34 @@ mod tests {
         }
     }
 
+    /// The fused output of a run in which no chunk may be poisoned.
+    fn clean<T>(outcome: RunOutcome<T>) -> T {
+        assert!(outcome.poisoned.is_empty(), "{:?}", outcome.poisoned);
+        outcome.out
+    }
+
+    fn stealing<F: ShardFold<str>>(input: &str, fold: &F, workers: usize) -> RunOutcome<F::Out> {
+        run_lines_stealing(input, fold, opts(workers), ChunkOptions::default())
+    }
+
+    /// An out-of-core run over `input` through a [`ReaderChunks`] ring.
+    fn reader<F: ShardFold<str>>(
+        input: &[u8],
+        fold: &F,
+        workers: usize,
+        chunk_bytes: usize,
+    ) -> Result<RunOutcome<F::Out>, ChunkError> {
+        let source = crate::ReaderChunks::new(std::io::Cursor::new(input), chunk_bytes, workers);
+        run_source_controlled(&source, fold, workers, false, RunControl::default())
+    }
+
     #[test]
     fn sharded_sum_equals_sequential_at_every_worker_count() {
         let input: String = (1..=200).map(|i| format!("{i}\n")).collect();
-        let expected = run_lines(&input, &SumFold, opts(1)).unwrap();
+        let expected = clean(stealing(&input, &SumFold, 1));
         assert_eq!(expected, Ok((1..=200i64).sum()));
         for workers in [2, 3, 8, 16] {
-            assert_eq!(
-                run_lines(&input, &SumFold, opts(workers)).unwrap(),
-                expected
-            );
+            assert_eq!(clean(stealing(&input, &SumFold, workers)), expected);
         }
     }
 
@@ -727,7 +632,7 @@ mod tests {
         lines[7] = "early-bad".into();
         let input = lines.join("\n");
         for workers in [1, 2, 4, 8] {
-            let out = run_lines(&input, &SumFold, opts(workers)).unwrap();
+            let out = clean(stealing(&input, &SumFold, workers));
             assert_eq!(out.as_ref().unwrap_err().0, 7, "workers={workers}");
         }
     }
@@ -736,13 +641,13 @@ mod tests {
     fn blank_lines_and_missing_trailing_newline() {
         let input = "1\n\n2\n\n3"; // blank lines, no trailing newline
         for workers in [1, 2, 4] {
-            assert_eq!(run_lines(input, &SumFold, opts(workers)).unwrap(), Ok(6));
+            assert_eq!(clean(stealing(input, &SumFold, workers)), Ok(6));
         }
     }
 
     #[test]
     fn empty_input_yields_unit() {
-        assert_eq!(run_lines("", &SumFold, opts(4)).unwrap(), Ok(0));
+        assert_eq!(clean(stealing("", &SumFold, 4)), Ok(0));
     }
 
     /// Slice engine: concatenation-shaped fold keeps input order.
@@ -775,15 +680,14 @@ mod tests {
         let items: Vec<i32> = (0..500).collect();
         let expected: Vec<(usize, i32)> = items.iter().map(|&v| (v as usize, v)).collect();
         for workers in [1, 2, 3, 8] {
-            let out = run_slice(
+            let out = clean(run_slice_caught(
                 &items,
                 &CollectFold,
                 SliceOptions {
                     workers,
                     min_chunk: 16,
                 },
-            )
-            .unwrap();
+            ));
             assert_eq!(out, expected, "workers={workers}");
         }
     }
@@ -791,7 +695,11 @@ mod tests {
     #[test]
     fn slice_engine_small_inputs_fall_back() {
         let items = [1, 2, 3];
-        let out = run_slice(&items, &CollectFold, SliceOptions::default()).unwrap();
+        let out = clean(run_slice_caught(
+            &items,
+            &CollectFold,
+            SliceOptions::default(),
+        ));
         assert_eq!(out, vec![(0, 1), (1, 2), (2, 3)]);
     }
 
@@ -831,7 +739,7 @@ mod tests {
         let mut lines: Vec<String> = (0..100).map(|i| format!("line-{i:04}")).collect();
         lines[60] = "boom".into();
         let input = lines.join("\n");
-        let outcome = run_lines_caught(&input, &PanicOnFold, opts(4));
+        let outcome = stealing(&input, &PanicOnFold, 4);
         assert!(outcome.shards > 1, "input must actually shard");
         assert_eq!(outcome.poisoned.len(), 1);
         let poisoned = &outcome.poisoned[0];
@@ -845,15 +753,16 @@ mod tests {
     }
 
     #[test]
-    fn run_lines_fails_cleanly_on_panic() {
-        let err = run_lines("boom", &PanicOnFold, opts(1)).unwrap_err();
+    fn single_worker_panic_names_shard_zero() {
+        let outcome = stealing("boom", &PanicOnFold, 1);
+        let err = &outcome.poisoned[0];
         assert_eq!(err.shard, 0);
         assert!(err.message.contains("injected fold panic"));
     }
 
     #[test]
     fn sequential_path_is_panic_isolated_too() {
-        let outcome = run_lines_caught("a\nboom\nb", &PanicOnFold, opts(1));
+        let outcome = stealing("a\nboom\nb", &PanicOnFold, 1);
         assert_eq!(outcome.shards, 1);
         assert_eq!(outcome.poisoned.len(), 1);
         assert!(outcome.out.is_empty(), "poisoned shard's output is lost");
@@ -884,14 +793,8 @@ mod tests {
         let mut lines: Vec<String> = (1..=300).map(|i| i.to_string()).collect();
         lines[123] = "bad".into();
         let input = lines.join("\n");
-        let expected = run_lines_caught(&input, &SumFold, opts(3)).out;
-        let outcome = run_reader_caught(
-            std::io::Cursor::new(input.as_bytes()),
-            &SumFold,
-            opts(3),
-            ChunkOptions::with_chunk_bytes(128),
-        )
-        .unwrap();
+        let expected = stealing(&input, &SumFold, 3).out;
+        let outcome = reader(input.as_bytes(), &SumFold, 3, 128).unwrap();
         assert_eq!(outcome.out, expected);
         assert_eq!(outcome.out.as_ref().unwrap_err().0, 123);
         assert!(outcome.shards > 1);
@@ -967,13 +870,7 @@ mod tests {
     fn reader_surfaces_input_errors() {
         let mut bytes = b"1\n2\n".to_vec();
         bytes.extend_from_slice(&[0xff, 0xfe, b'\n']);
-        let err = run_reader_caught(
-            std::io::Cursor::new(bytes),
-            &SumFold,
-            opts(2),
-            ChunkOptions::with_chunk_bytes(2),
-        )
-        .unwrap_err();
+        let err = reader(&bytes, &SumFold, 2, 2).unwrap_err();
         assert!(matches!(err, ChunkError::NotUtf8 { .. }));
     }
 
@@ -1009,15 +906,6 @@ mod tests {
         );
         assert_eq!(outcome.poisoned.len(), 1);
         assert!(outcome.poisoned[0].first_record <= 350);
-        let err = run_slice(
-            &items,
-            &PanicOnNegative,
-            SliceOptions {
-                workers: 4,
-                min_chunk: 16,
-            },
-        )
-        .unwrap_err();
-        assert!(err.message.contains("negative item"));
+        assert!(outcome.poisoned[0].message.contains("negative item"));
     }
 }

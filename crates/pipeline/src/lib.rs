@@ -16,11 +16,21 @@
 //!   commutative and associative the sharded result is identical to the
 //!   sequential fold for every worker count — the property all adapter
 //!   suites pin.
-//! * [`run_lines`] — NDJSON execution: newline-boundary sharding
+//! * [`run_lines_stealing`] — NDJSON execution over an in-memory text:
+//!   newline-aligned chunks claimed by a fixed worker pool and fused in
+//!   chunk order, with a no-thread sequential path for small inputs.
+//! * [`run_source_controlled`] — the dispatcher underneath, over any
+//!   [`ChunkSource`]: an atomic cursor over a pre-split in-memory slice
+//!   ([`SliceChunks`]) or a bounded ring of reusable buffers over any
+//!   `BufRead` ([`ReaderChunks`]), so a corpus streams out-of-core
+//!   without being materialised. A [`RunControl`] adds a per-chunk commit
+//!   hook and a graceful-stop latch (the journaled runs' seam).
+//! * [`run_slice_caught`] — the same engine over an in-memory `&[T]` (the
+//!   DOM inference path), chunked by item count instead of bytes.
+//! * [`run_lines_static_caught`] — the one-shard-per-worker split
 //!   ([`shard_lines`], which counts lines in the same scan that finds the
-//!   boundaries), scoped worker threads, shard-order merge.
-//! * [`run_slice`] — the same engine over an in-memory `&[T]` (the DOM
-//!   inference path), chunked by item count instead of bytes.
+//!   boundaries), kept as the reference the stealing dispatcher is
+//!   tested and benchmarked against.
 //! * [`merge_line_results`] — first-error-line selection for folds whose
 //!   `Out` is `Result<T, (line, E)>`: the lowest failing line wins,
 //!   matching what a sequential scan would have reported first.
@@ -29,26 +39,18 @@
 //!   byte-sharded and item-sharded engines measure "too small to shard"
 //!   in different units (bytes vs documents); the worker-resolution logic
 //!   ([`resolve_workers`]) and the fallback decisions live here once.
-
-//! * [`run_lines_caught`] / [`run_slice_caught`] — the panic-isolated
-//!   engine underneath: each shard's fold runs under `catch_unwind`, and a
-//!   [`RunOutcome`] carries the surviving shards' fusion next to
-//!   [`ShardPanic`] provenance for the poisoned ones. [`run_lines`] /
-//!   [`run_slice`] are their fail-fast faces, returning `Err` on the
-//!   first poisoned shard.
+//!
 //! * [`ErrorPolicy`] / [`ErrorSummary`] / [`RunReport`] — the
 //!   fault-tolerance vocabulary tolerant stages fold per shard and merge
 //!   in shard order, so dirty collections degrade into an account of
 //!   rejected records instead of a dead run.
-//! * [`ChunkSource`] / [`run_lines_stealing`] / [`run_reader_caught`] —
-//!   out-of-core chunked input and work-stealing dispatch: the input
-//!   becomes a queue of sequence-numbered newline-aligned chunks (an
-//!   atomic cursor over a pre-split in-memory slice, [`SliceChunks`], or
-//!   a bounded ring of reusable buffers over any `BufRead`,
-//!   [`ReaderChunks`]) claimed by a fixed worker pool, with per-chunk
-//!   results extracted via [`ShardFold::take`] and fused in sequence
-//!   order — identical outcomes to static sharding, without stragglers
-//!   idling workers and without materializing the corpus.
+//!
+//! Every dispatch is panic-isolated: each chunk's fold runs under
+//! `catch_unwind`, and a [`RunOutcome`] carries the surviving chunks'
+//! fusion next to [`ShardPanic`] provenance for the poisoned ones. Per
+//! chunk results are extracted via [`ShardFold::take`] and fused in
+//! sequence order — identical outcomes to static sharding, without
+//! stragglers idling workers.
 
 mod checkpoint;
 mod chunk;
@@ -64,9 +66,8 @@ pub use chunk::{
     Chunk, ChunkError, ChunkOptions, ChunkSource, ReaderChunks, SliceChunks, DEFAULT_CHUNK_BYTES,
 };
 pub use engine::{
-    merge_line_results, panic_message, run_lines, run_lines_caught, run_lines_static_caught,
-    run_lines_stealing, run_reader_caught, run_slice, run_slice_caught, run_source_caught,
-    run_source_controlled, RunControl, RunOutcome, ShardFold,
+    merge_line_results, panic_message, run_lines_static_caught, run_lines_stealing,
+    run_slice_caught, run_source_controlled, RunControl, RunOutcome, ShardFold,
 };
 pub use options::{resolve_workers, PipelineOptions, SliceOptions};
 pub use report::{

@@ -44,17 +44,12 @@ use jsonx::syntax::{parse, parse_ndjson, to_string, to_string_pretty};
 use jsonx::translate::{flatten_rows, read_jxc_file, rows_as_values, OutputSink, Shredder};
 use jsonx::Value;
 use jsonx::{
-    infer_streaming_decoded, infer_streaming_guarded, infer_streaming_journaled,
-    infer_streaming_parallel, infer_streaming_source, infer_validate_streaming_decoded,
-    infer_validate_streaming_guarded, infer_validate_streaming_parallel,
-    infer_validate_streaming_source, translate_streaming_decoded, translate_streaming_guarded,
-    translate_streaming_guarded_fast, translate_streaming_parallel,
-    translate_streaming_parallel_fast, translate_streaming_source, translate_streaming_to_jxc,
-    validate_streaming_decoded, validate_streaming_guarded, validate_streaming_guarded_fast,
-    validate_streaming_journaled, validate_streaming_parallel, validate_streaming_parallel_fast,
+    infer_streaming_decoded, infer_streaming_journaled, infer_streaming_source,
+    infer_validate_streaming_decoded, translate_streaming_decoded, translate_streaming_source,
+    translate_streaming_to_jxc, validate_streaming_decoded, validate_streaming_journaled,
     validate_streaming_source, write_quarantine_file, ChunkOptions, CsvDecoder, ErrorPolicy,
-    FaultOptions, JournalControl, LineVerdict, ParseLimits, RunReport, StreamError, StreamSource,
-    StreamingOptions,
+    FaultOptions, JournalControl, JsonDecoder, LineVerdict, ParseLimits, RecordDecoder, RunReport,
+    StreamError, StreamSource, StreamingOptions,
 };
 use std::io::{BufRead, Read, Write as _};
 use std::process::ExitCode;
@@ -509,8 +504,9 @@ impl From<String> for CliError {
     }
 }
 
-/// Classifies a streaming-run failure: input problems are I/O, a
-/// graceful stop is interrupted-resumable, everything else is bad data.
+/// Classifies a streaming-run failure: a failed read or write is I/O, a
+/// graceful stop is interrupted-resumable, and everything else — input
+/// that is not UTF-8 ([`StreamError::NotUtf8`]) included — is bad data.
 fn stream_err(e: StreamError) -> CliError {
     match e {
         StreamError::Interrupted => CliError::Interrupted(format!(
@@ -687,118 +683,9 @@ impl Opts {
 // Shared run configuration (fault tolerance, out-of-core, input format)
 // ---------------------------------------------------------------------------
 
-/// Out-of-core run configuration parsed from the chunk flags.
-struct ChunkCli {
-    /// `--input FILE`: stream this file instead of the positional FILE.
-    input: Option<String>,
-    chunk: ChunkOptions,
-}
-
-/// Builds the out-of-core configuration, or `None` when no chunk flag
-/// was given (the in-memory paths keep their exact legacy output).
-fn chunk_cli(opts: &Opts) -> Result<Option<ChunkCli>, CliError> {
-    if !CHUNK_FLAGS.iter().any(|f| opts.has(f.name)) {
-        return Ok(None);
-    }
-    let chunk_bytes: usize = parse_flag(opts, "chunk-bytes")?.unwrap_or(0);
-    Ok(Some(ChunkCli {
-        input: opts.get("input").map(str::to_string),
-        chunk: ChunkOptions {
-            chunk_bytes,
-            timing: opts.has("report-timing"),
-            ..ChunkOptions::default()
-        },
-    }))
-}
-
-/// The reader half of an out-of-core run: `--input FILE` opened for
-/// bounded streaming (`-` streams stdin).
-type BoxedInput = Box<dyn BufRead + Send>;
-
-fn open_input(path: &str) -> Result<BoxedInput, CliError> {
-    if path == "-" {
-        Ok(Box::new(std::io::BufReader::new(std::io::stdin())))
-    } else {
-        let file =
-            std::fs::File::open(path).map_err(|e| CliError::io(format!("reading {path}: {e}")))?;
-        Ok(Box::new(std::io::BufReader::new(file)))
-    }
-}
-
-/// Opens the corpus for a chunk-dispatched run: `--input` streams a
-/// reader out-of-core; otherwise the positional FILE/stdin text is
-/// loaded into `storage` and chunk-dispatched in place.
-fn open_source<'a>(
-    input: Option<&str>,
-    file: Option<&str>,
-    storage: &'a mut String,
-) -> Result<StreamSource<'a, BoxedInput>, CliError> {
-    match input {
-        Some(path) => Ok(StreamSource::Reader(open_input(path)?)),
-        None => {
-            *storage = read_text(file)?;
-            Ok(StreamSource::Slice(storage))
-        }
-    }
-}
-
-/// Whether `--format csv` selected the CSV front-end.
-fn csv_requested(opts: &Opts) -> Result<bool, CliError> {
-    match opts.get("format") {
-        None | Some("json") => Ok(false),
-        Some("csv") => Ok(true),
-        Some(other) => Err(CliError::usage(format!(
-            "unknown --format '{other}' (use json or csv)"
-        ))),
-    }
-}
-
-/// Splits the CSV header row off a source, returning it together with
-/// the remainder (whose record indices then count data rows from 0, as
-/// the decoder expects).
-fn peel_csv_header<R: BufRead + Send>(
-    source: StreamSource<'_, R>,
-) -> Result<(String, StreamSource<'_, R>), CliError> {
-    let (header, rest) = match source {
-        StreamSource::Slice(text) => match text.find('\n') {
-            Some(i) => (text[..i].to_string(), StreamSource::Slice(&text[i + 1..])),
-            None => (text.to_string(), StreamSource::Slice("")),
-        },
-        StreamSource::Reader(mut reader) => {
-            let mut line = String::new();
-            reader
-                .read_line(&mut line)
-                .map_err(|e| CliError::io(format!("reading csv header: {e}")))?;
-            (line, StreamSource::Reader(reader))
-        }
-    };
-    let header = header.trim_end_matches(['\n', '\r']).to_string();
-    if header.trim().is_empty() {
-        return Err(CliError::data("csv input has no header row"));
-    }
-    Ok((header, rest))
-}
-
-/// A CSV decoder for the peeled header, carrying the run's parse limits.
-fn csv_decoder(header: &str, fault: &FaultOptions) -> Result<CsvDecoder, String> {
-    CsvDecoder::from_header(header)
-        .map(|d| d.with_limits(fault.limits))
-        .map_err(|e| format!("csv header: {e}"))
-}
-
-/// Whether the streaming runs should try the SWAR projecting fast path
-/// first. On by default; `--no-fast-parse` is the escape hatch (and wins
-/// over an explicit `--fast-parse`).
-fn fast_parse_enabled(opts: &Opts) -> bool {
-    !opts.has("no-fast-parse")
-}
-
-/// Builds [`FaultOptions`] from the shared fault-tolerance flags, or
-/// `None` when none were given (legacy fail-fast paths).
-fn fault_options(opts: &Opts) -> Result<Option<FaultOptions>, CliError> {
-    if !FAULT_FLAGS.iter().any(|f| opts.has(f.name)) {
-        return Ok(None);
-    }
+/// Builds [`FaultOptions`] from the shared fault-tolerance flags; with
+/// none of them the run fails fast under the default limits.
+fn fault_options(opts: &Opts) -> Result<FaultOptions, CliError> {
     let max_errors: Option<usize> = parse_flag(opts, "max-errors")?;
     let policy = match opts.get("on-error").unwrap_or("fail") {
         "fail" => ErrorPolicy::FailFast,
@@ -819,17 +706,59 @@ fn fault_options(opts: &Opts) -> Result<Option<FaultOptions>, CliError> {
     if let Some(bytes) = parse_flag(opts, "max-line-bytes")? {
         limits = limits.with_max_input_bytes(bytes);
     }
-    Ok(Some(FaultOptions {
+    Ok(FaultOptions {
         policy,
         keep_rejects: opts.has("quarantine"),
         limits,
-    }))
+    })
 }
 
-/// Post-run bookkeeping for a guarded streaming command: writes the
+/// Parses and validates `--checkpoint FILE` / `--resume`. Resume seeks
+/// the input by committed byte offset, so the journal requires `--input`
+/// with a regular file (stdin cannot be re-read); the CSV front-end is
+/// refused because its row identity hangs off a peeled header line the
+/// journal's byte accounting does not cover.
+fn checkpoint_cli(
+    opts: &Opts,
+    input: Option<&str>,
+    csv: bool,
+) -> Result<Option<(String, bool)>, CliError> {
+    let resume = opts.has("resume");
+    let Some(journal) = opts.get("checkpoint") else {
+        if resume {
+            return Err(CliError::usage("--resume needs --checkpoint FILE"));
+        }
+        return Ok(None);
+    };
+    if csv {
+        return Err(CliError::usage(
+            "--checkpoint does not support --format csv",
+        ));
+    }
+    let Some(input) = input else {
+        return Err(CliError::usage(
+            "--checkpoint needs --input FILE (resume seeks the input by byte offset)",
+        ));
+    };
+    if input == "-" {
+        return Err(CliError::usage(
+            "--checkpoint cannot journal stdin; pass --input with a regular file",
+        ));
+    }
+    if let Ok(meta) = std::fs::metadata(input) {
+        if !meta.is_file() {
+            return Err(CliError::usage(format!(
+                "--checkpoint needs --input with a regular file, but {input} is not one"
+            )));
+        }
+    }
+    Ok(Some((journal.to_string(), resume)))
+}
+
+/// Post-run bookkeeping shared by the streaming commands: writes the
 /// quarantine sidecar when requested, surfaces poisoned shards on
-/// stderr, and returns the `, N rejected` suffix for the summary line.
-fn finish_guarded_run(opts: &Opts, report: &RunReport) -> Result<String, CliError> {
+/// stderr, and prints the per-worker timing account.
+fn report_run(opts: &Opts, report: &RunReport) -> Result<(), CliError> {
     if let Some(path) = opts.get("quarantine") {
         let n = write_quarantine_file(std::path::Path::new(path), report)
             .map_err(|e| CliError::io(format!("writing {path}: {e}")))?;
@@ -851,7 +780,230 @@ fn finish_guarded_run(opts: &Opts, report: &RunReport) -> Result<String, CliErro
             t.bytes_per_sec() / 1e6,
         );
     }
-    Ok(format!(", {} rejected", report.errors.total))
+    Ok(())
+}
+
+/// Everything a streaming command (`infer --streaming`, `infer
+/// --validate`, `validate --streaming`, `translate --streaming`) reads
+/// from the shared flags. Every such command runs the same way: it opens
+/// one [`Corpus`] per pass (or hands `--input` to the journaled entry
+/// point under `--checkpoint`), makes one library call per pass, reports
+/// through [`report_run`], prints verdicts through
+/// [`print_verdicts`](Self::print_verdicts) and closes with
+/// [`summary`](Self::summary).
+struct StreamRun {
+    sopts: StreamingOptions,
+    fault: FaultOptions,
+    chunk: ChunkOptions,
+    /// `--input FILE`: stream this file instead of loading the positional
+    /// FILE.
+    input: Option<String>,
+    /// `--format csv`.
+    csv: bool,
+    /// `--checkpoint FILE` and whether `--resume` was given.
+    checkpoint: Option<(String, bool)>,
+    /// Whether the projecting fast path runs first (on unless
+    /// `--no-fast-parse`, which wins over an explicit `--fast-parse`).
+    fast: bool,
+    /// A fault-tolerance, out-of-core or format flag was given: the
+    /// summary line then carries the `, N rejected` account.
+    counts_rejects: bool,
+    /// Invalid records get the interpreter's diagnostics, not just their
+    /// line number: only JSON loaded in memory with no out-of-core flag.
+    diagnose: bool,
+}
+
+/// One pass's records, as the library's entry points take them.
+enum Corpus<'a> {
+    /// NDJSON from memory or from `--input`.
+    Json(StreamSource<'a, Box<dyn BufRead + Send>>),
+    /// CSV rows behind their peeled header, with the decoder it built.
+    Csv(StreamSource<'a, Box<dyn BufRead + Send>>, CsvDecoder),
+}
+
+impl StreamRun {
+    fn from_opts(opts: &Opts) -> Result<StreamRun, CliError> {
+        let workers: Option<usize> = parse_flag(opts, "workers")?;
+        let fault = fault_options(opts)?;
+        let chunk = ChunkOptions {
+            chunk_bytes: parse_flag(opts, "chunk-bytes")?.unwrap_or(0),
+            timing: opts.has("report-timing"),
+            ..ChunkOptions::default()
+        };
+        let csv = match opts.get("format") {
+            None | Some("json") => false,
+            Some("csv") => true,
+            Some(other) => {
+                return Err(CliError::usage(format!(
+                    "unknown --format '{other}' (use json or csv)"
+                )))
+            }
+        };
+        let input = opts.get("input").map(str::to_string);
+        let checkpoint = checkpoint_cli(opts, input.as_deref(), csv)?;
+        let chunked = CHUNK_FLAGS.iter().any(|f| opts.has(f.name));
+        let faulted = FAULT_FLAGS.iter().any(|f| opts.has(f.name));
+        Ok(StreamRun {
+            sopts: StreamingOptions::with_workers(workers.unwrap_or(0)),
+            fault,
+            chunk,
+            input,
+            csv,
+            checkpoint,
+            fast: !opts.has("no-fast-parse"),
+            counts_rejects: faulted || chunked || csv,
+            diagnose: !chunked && !csv,
+        })
+    }
+
+    /// Loads the positional FILE (or stdin) for an in-memory run; `None`
+    /// under `--input`, whose passes each stream the file.
+    fn load(&self, opts: &Opts) -> Result<Option<String>, CliError> {
+        match self.input {
+            Some(_) => Ok(None),
+            None => read_text(opts.file.as_deref()).map(Some),
+        }
+    }
+
+    /// Opens one pass over the corpus: the loaded text, or `--input`
+    /// afresh through a bounded ring of chunk buffers (`-` streams
+    /// stdin). Under `--format csv` the header row becomes the decoder.
+    fn open<'a>(&self, text: &'a Option<String>) -> Result<Corpus<'a>, CliError> {
+        let source = match self.input.as_deref() {
+            Some("-") => {
+                StreamSource::Reader(Box::new(std::io::BufReader::new(std::io::stdin())) as Box<_>)
+            }
+            Some(path) => {
+                let file = std::fs::File::open(path)
+                    .map_err(|e| CliError::io(format!("reading {path}: {e}")))?;
+                StreamSource::Reader(Box::new(std::io::BufReader::new(file)) as Box<_>)
+            }
+            None => StreamSource::Slice(text.as_deref().unwrap_or_default()),
+        };
+        if !self.csv {
+            return Ok(Corpus::Json(source));
+        }
+        let (header, source) = peel_csv_header(source)?;
+        let decoder = CsvDecoder::from_header(&header)
+            .map_err(|e| CliError::data(format!("csv header: {e}")))?
+            .with_limits(self.fault.limits);
+        Ok(Corpus::Csv(source, decoder))
+    }
+
+    /// The `--input` path and journal control of a `--checkpoint` run.
+    /// Installs the SIGINT/SIGTERM stop latch and wires the deterministic
+    /// crash injector (`JSONX_CRASHPOINT`) the kill-and-resume harness
+    /// drives. The injector counts commits across the whole run —
+    /// translate's two phases share one counter — so `commits:N` always
+    /// means the Nth journal record.
+    fn journal(&self) -> Option<(&std::path::Path, JournalControl<'_>)> {
+        let (journal, resume) = self.checkpoint.as_ref()?;
+        let input = std::path::Path::new(self.input.as_deref()?);
+        sig::install();
+        let mut ctrl = JournalControl::new(std::path::Path::new(journal));
+        ctrl.resume = *resume;
+        ctrl.stop = Some(sig::stop_flag());
+        if let Some(cp) = jsonx::gen::Crashpoint::from_env() {
+            let total = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+            ctrl.after_commit = Some(std::sync::Arc::new(move |_phase_commits| {
+                let n = total.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
+                cp.observe_commit(n, sig::stop_flag());
+            }));
+        }
+        Some((input, ctrl))
+    }
+
+    /// Prints one `doc N: …` line per invalid verdict and returns how many
+    /// there were. When the run [diagnoses](Self::diagnose), each invalid
+    /// record is re-parsed under the run's limits and re-run through the
+    /// error-collecting interpreter, so its diagnostics match the DOM
+    /// path; otherwise the line just says `invalid`.
+    fn print_verdicts(
+        &self,
+        verdicts: &[(usize, LineVerdict)],
+        text: Option<&str>,
+        schema: &CompiledSchema,
+        vopts: ValidatorOptions,
+    ) -> Result<usize, CliError> {
+        let decoder = JsonDecoder::new().with_limits(self.fault.limits);
+        // Verdicts come in line order, so one pass over the lines finds
+        // every invalid record.
+        let mut lines = text
+            .filter(|_| self.diagnose)
+            .map(|t| t.lines().enumerate());
+        let mut out = PipeOut::new();
+        let mut invalid = 0usize;
+        for (line_no, verdict) in verdicts {
+            if verdict.is_valid() {
+                continue;
+            }
+            invalid += 1;
+            let line = lines.as_mut().and_then(|ls| ls.find(|(i, _)| i == line_no));
+            let Some((_, line)) = line else {
+                out.line(&format!("doc {line_no}: invalid"))?;
+                continue;
+            };
+            match decoder.decode_value(&mut (), line) {
+                Ok(doc) => {
+                    if let Err(errors) = schema.validate_with(&doc, vopts) {
+                        for e in errors {
+                            out.line(&format!("doc {line_no}: {e}"))?;
+                        }
+                    }
+                }
+                Err(e) => {
+                    out.line(&format!("doc {line_no}: {e}"))?;
+                }
+            }
+        }
+        out.finish()?;
+        Ok(invalid)
+    }
+
+    /// The closing `» …` line of a streaming command: `what`, the run's
+    /// mode (`modes[1]` under `--format csv`), `detail`, and the
+    /// `, N rejected` account when the run [counts it](Self::counts_rejects).
+    fn summary(&self, what: &str, modes: [&str; 2], detail: &str, report: &RunReport) -> String {
+        let mode = modes[usize::from(self.csv)];
+        let rejected = if self.counts_rejects {
+            format!(", {} rejected", report.errors.total)
+        } else {
+            String::new()
+        };
+        format!("» {what} ({mode}){detail}{rejected}")
+    }
+}
+
+/// Splits the CSV header row off a source, returning it together with
+/// the remainder (whose record indices then count data rows from 0, as
+/// the decoder expects).
+fn peel_csv_header<R: BufRead + Send>(
+    source: StreamSource<'_, R>,
+) -> Result<(String, StreamSource<'_, R>), CliError> {
+    let (header, rest) = match source {
+        StreamSource::Slice(text) => match text.find('\n') {
+            Some(i) => (text[..i].to_string(), StreamSource::Slice(&text[i + 1..])),
+            None => (text.to_string(), StreamSource::Slice("")),
+        },
+        StreamSource::Reader(mut reader) => {
+            let mut line = String::new();
+            reader.read_line(&mut line).map_err(|e| {
+                // `read_line` reports bytes that are not UTF-8 as
+                // invalid data: malformed input, not a failed read.
+                if e.kind() == std::io::ErrorKind::InvalidData {
+                    CliError::data("csv header: input is not valid UTF-8")
+                } else {
+                    CliError::io(format!("reading csv header: {e}"))
+                }
+            })?;
+            (line, StreamSource::Reader(reader))
+        }
+    };
+    let header = header.trim_end_matches(['\n', '\r']).to_string();
+    if header.trim().is_empty() {
+        return Err(CliError::data("csv input has no header row"));
+    }
+    Ok((header, rest))
 }
 
 /// Loads the whole corpus into memory — the in-memory path shared by
@@ -929,72 +1081,6 @@ impl PipeOut {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint / resume wiring
-// ---------------------------------------------------------------------------
-
-/// Parses and validates `--checkpoint FILE` / `--resume`. Resume seeks
-/// the input by committed byte offset, so the journal requires `--input`
-/// with a regular file (stdin cannot be re-read); the CSV front-end is
-/// refused because its row identity hangs off a peeled header line the
-/// journal's byte accounting does not cover.
-fn checkpoint_cli(
-    opts: &Opts,
-    chunked: &Option<ChunkCli>,
-    csv: bool,
-) -> Result<Option<(String, bool)>, CliError> {
-    let resume = opts.has("resume");
-    let Some(journal) = opts.get("checkpoint") else {
-        if resume {
-            return Err(CliError::usage("--resume needs --checkpoint FILE"));
-        }
-        return Ok(None);
-    };
-    if csv {
-        return Err(CliError::usage(
-            "--checkpoint does not support --format csv",
-        ));
-    }
-    let Some(input) = chunked.as_ref().and_then(|c| c.input.as_deref()) else {
-        return Err(CliError::usage(
-            "--checkpoint needs --input FILE (resume seeks the input by byte offset)",
-        ));
-    };
-    if input == "-" {
-        return Err(CliError::usage(
-            "--checkpoint cannot journal stdin; pass --input with a regular file",
-        ));
-    }
-    if let Ok(meta) = std::fs::metadata(input) {
-        if !meta.is_file() {
-            return Err(CliError::usage(format!(
-                "--checkpoint needs --input with a regular file, but {input} is not one"
-            )));
-        }
-    }
-    Ok(Some((journal.to_string(), resume)))
-}
-
-/// Builds the [`JournalControl`] for a journaled run: installs the
-/// SIGINT/SIGTERM stop latch and wires the deterministic crash injector
-/// (`JSONX_CRASHPOINT`) the kill-and-resume harness drives. The injector
-/// counts commits across the whole run — translate's two phases share
-/// one counter — so `commits:N` always means the Nth journal record.
-fn journal_control(journal: &std::path::Path, resume: bool) -> JournalControl<'_> {
-    sig::install();
-    let mut ctrl = JournalControl::new(journal);
-    ctrl.resume = resume;
-    ctrl.stop = Some(sig::stop_flag());
-    if let Some(cp) = jsonx::gen::Crashpoint::from_env() {
-        let total = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        ctrl.after_commit = Some(std::sync::Arc::new(move |_phase_commits| {
-            let n = total.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
-            cp.observe_commit(n, sig::stop_flag());
-        }));
-    }
-    ctrl
-}
-
-// ---------------------------------------------------------------------------
 // infer
 // ---------------------------------------------------------------------------
 
@@ -1008,116 +1094,51 @@ fn cmd_infer(opts: &Opts) -> Result<(), CliError> {
             )))
         }
     };
-    let workers: Option<usize> = parse_flag(opts, "workers")?;
-    let fault = fault_options(opts)?;
-    let chunked = chunk_cli(opts)?;
-    let csv = csv_requested(opts)?;
-    let checkpoint = checkpoint_cli(opts, &chunked, csv)?;
+    if !opts.streaming_requested() {
+        let docs = read_collection(opts.file.as_deref())?;
+        let ty = infer_collection(&docs, equiv);
+        print_inferred_type(opts, &ty)?;
+        eprintln!(
+            "» {} documents (dom){}",
+            docs.len(),
+            type_detail(equiv, &ty)
+        );
+        return Ok(());
+    }
+    let run = StreamRun::from_opts(opts)?;
     if let Some(schema_path) = opts.get("validate") {
-        if checkpoint.is_some() {
+        if run.checkpoint.is_some() {
             return Err(CliError::usage(
                 "--checkpoint does not support infer --validate (journal one pass at a time)",
             ));
         }
-        return infer_validate_cli(
-            opts,
-            equiv,
-            schema_path,
-            workers.unwrap_or(0),
-            fault,
-            chunked,
-            csv,
-        );
+        return infer_validate_cli(opts, &run, equiv, schema_path);
     }
-    if csv {
-        // CSV front-end: peel the header, then the decoded engine path.
-        let (input, chunk) = match chunked {
-            Some(c) => (c.input, c.chunk),
-            None => (None, ChunkOptions::default()),
-        };
-        let fault = fault.unwrap_or_default();
-        let sopts = StreamingOptions::with_workers(workers.unwrap_or(0));
-        let mut storage = String::new();
-        let source = open_source(input.as_deref(), opts.file.as_deref(), &mut storage)?;
-        let (header, source) = peel_csv_header(source)?;
-        let decoder = csv_decoder(&header, &fault)?;
-        let (ty, report) = infer_streaming_decoded(source, decoder, equiv, sopts, chunk, fault)
-            .map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
-        print_inferred_type(opts, &ty)?;
-        eprintln!(
-            "» {} documents (streaming csv), equivalence {}, type size {} nodes{suffix}",
-            report.records - report.errors.total,
-            equiv.name(),
-            jsonx::core::type_size(&ty)
-        );
-        return Ok(());
+    let text = run.load(opts)?;
+    let (sopts, chunk, fault) = (run.sopts, run.chunk, run.fault);
+    let (ty, report) = match run.journal() {
+        Some((input, ctrl)) => infer_streaming_journaled(input, equiv, sopts, chunk, fault, &ctrl),
+        None => match run.open(&text)? {
+            Corpus::Json(source) => infer_streaming_source(source, equiv, sopts, chunk, fault),
+            Corpus::Csv(source, csv) => {
+                infer_streaming_decoded(source, csv, equiv, sopts, chunk, fault)
+            }
+        },
     }
-    if let Some(ChunkCli { input, chunk }) = chunked {
-        let fault = fault.unwrap_or_default();
-        let sopts = StreamingOptions::with_workers(workers.unwrap_or(0));
-        let (ty, report) = if let Some((journal, resume)) = &checkpoint {
-            let input = input.as_deref().expect("checkpoint_cli verified --input");
-            let ctrl = journal_control(std::path::Path::new(journal), *resume);
-            infer_streaming_journaled(
-                std::path::Path::new(input),
-                equiv,
-                sopts,
-                chunk,
-                fault,
-                &ctrl,
-            )
-            .map_err(stream_err)?
-        } else {
-            let mut storage = String::new();
-            let source = open_source(input.as_deref(), opts.file.as_deref(), &mut storage)?;
-            infer_streaming_source(source, equiv, sopts, chunk, fault).map_err(stream_err)?
-        };
-        let suffix = finish_guarded_run(opts, &report)?;
-        print_inferred_type(opts, &ty)?;
-        eprintln!(
-            "» {} documents (streaming), equivalence {}, type size {} nodes{suffix}",
-            report.records - report.errors.total,
-            equiv.name(),
-            jsonx::core::type_size(&ty)
-        );
-        return Ok(());
-    }
-    if let Some(fault) = fault {
-        let text = read_text(opts.file.as_deref())?;
-        let sopts = StreamingOptions::with_workers(workers.unwrap_or(0));
-        let (ty, report) =
-            infer_streaming_guarded(&text, equiv, sopts, fault).map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
-        print_inferred_type(opts, &ty)?;
-        eprintln!(
-            "» {} documents (streaming), equivalence {}, type size {} nodes{suffix}",
-            report.records - report.errors.total,
-            equiv.name(),
-            jsonx::core::type_size(&ty)
-        );
-        return Ok(());
-    }
-    let (ty, n_docs, mode) = if opts.streaming_requested() {
-        let text = read_text(opts.file.as_deref())?;
-        let sopts = StreamingOptions::with_workers(workers.unwrap_or(0));
-        let ty = infer_streaming_parallel(&text, equiv, sopts)
-            .map_err(|(line, e)| format!("line {}: {e}", line + 1))?;
-        let n = text.lines().filter(|l| !l.trim().is_empty()).count();
-        (ty, n, "streaming")
-    } else {
-        let docs = read_collection(opts.file.as_deref())?;
-        let ty = infer_collection(&docs, equiv);
-        let n = docs.len();
-        (ty, n, "dom")
-    };
+    .map_err(stream_err)?;
+    report_run(opts, &report)?;
     print_inferred_type(opts, &ty)?;
-    eprintln!(
-        "» {n_docs} documents ({mode}), equivalence {}, type size {} nodes",
-        equiv.name(),
-        jsonx::core::type_size(&ty)
-    );
+    let documents = format!("{} documents", report.records - report.errors.total);
+    let modes = ["streaming", "streaming csv"];
+    let detail = type_detail(equiv, &ty);
+    eprintln!("{}", run.summary(&documents, modes, &detail, &report));
     Ok(())
+}
+
+/// The `, equivalence K, type size N nodes` tail of an inference summary.
+fn type_detail(equiv: Equivalence, ty: &jsonx::core::JType) -> String {
+    let size = jsonx::core::type_size(ty);
+    format!(", equivalence {}, type size {size} nodes", equiv.name())
 }
 
 fn print_inferred_type(opts: &Opts, ty: &jsonx::core::JType) -> Result<(), CliError> {
@@ -1140,133 +1161,52 @@ fn print_inferred_type(opts: &Opts, ty: &jsonx::core::JType) -> Result<(), CliEr
     out.finish()
 }
 
+/// Reads and compiles a schema document.
+fn load_schema(path: &str) -> Result<(String, CompiledSchema), CliError> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| CliError::io(format!("reading {path}: {e}")))?;
+    let doc = parse(&text).map_err(|e| CliError::data(format!("{path}: {e}")))?;
+    let schema = CompiledSchema::compile(&doc).map_err(|e| e.to_string())?;
+    Ok((text, schema))
+}
+
 /// The combined single-pass path behind `infer --validate SCHEMA.json`:
 /// one tokenisation per line feeds both type fusion and the compiled
-/// fail-fast validator, with interpreter diagnostics re-run on just the
-/// invalid lines. Invalid documents are reported but don't fail the run —
-/// the primary output is still the inferred type.
-#[allow(clippy::too_many_arguments)]
+/// fail-fast validator. Invalid documents are reported but don't fail the
+/// run — the primary output is still the inferred type.
 fn infer_validate_cli(
     opts: &Opts,
+    run: &StreamRun,
     equiv: Equivalence,
     schema_path: &str,
-    workers: usize,
-    fault: Option<FaultOptions>,
-    chunked: Option<ChunkCli>,
-    csv: bool,
 ) -> Result<(), CliError> {
-    let schema_text = std::fs::read_to_string(schema_path)
-        .map_err(|e| CliError::io(format!("reading {schema_path}: {e}")))?;
-    let schema_doc =
-        parse(&schema_text).map_err(|e| CliError::data(format!("{schema_path}: {e}")))?;
-    let schema = CompiledSchema::compile(&schema_doc).map_err(|e| e.to_string())?;
+    let (_, schema) = load_schema(schema_path)?;
     let vopts = ValidatorOptions::default();
-    if csv {
-        // CSV combined pass: rows are synthesised records, so invalid
-        // documents report line numbers only.
-        let (input, chunk) = match chunked {
-            Some(c) => (c.input, c.chunk),
-            None => (None, ChunkOptions::default()),
-        };
-        let fault = fault.unwrap_or_default();
-        let sopts = StreamingOptions::with_workers(workers);
-        let mut storage = String::new();
-        let source = open_source(input.as_deref(), opts.file.as_deref(), &mut storage)?;
-        let (header, source) = peel_csv_header(source)?;
-        let decoder = csv_decoder(&header, &fault)?;
-        let ((ty, verdicts), report) = infer_validate_streaming_decoded(
-            source, decoder, equiv, &schema, vopts, sopts, chunk, fault,
-        )
-        .map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
-        let mut out = PipeOut::new();
-        let mut invalid = 0usize;
-        for (line_no, verdict) in &verdicts {
-            if matches!(verdict, LineVerdict::Invalid) {
-                invalid += 1;
-                out.line(&format!("doc {line_no}: invalid"))?;
-            }
+    let text = run.load(opts)?;
+    let (sopts, chunk, fault) = (run.sopts, run.chunk, run.fault);
+    let ((ty, verdicts), report) = match run.open(&text)? {
+        Corpus::Json(source) => {
+            let json = JsonDecoder::new().with_limits(fault.limits);
+            infer_validate_streaming_decoded(
+                source, json, equiv, &schema, vopts, sopts, chunk, fault,
+            )
         }
-        out.finish()?;
-        print_inferred_type(opts, &ty)?;
-        eprintln!(
-            "» {}/{} documents valid (combined pass, csv), equivalence {}, type size {} nodes{suffix}",
-            verdicts.len() - invalid,
-            verdicts.len(),
-            equiv.name(),
-            jsonx::core::type_size(&ty)
-        );
-        return Ok(());
+        Corpus::Csv(source, csv) => infer_validate_streaming_decoded(
+            source, csv, equiv, &schema, vopts, sopts, chunk, fault,
+        ),
     }
-    if let Some(ChunkCli { input, chunk }) = chunked {
-        // Chunk-dispatched combined pass. The corpus may never be
-        // materialised, so invalid documents report line numbers only
-        // (re-run in-memory for full interpreter diagnostics).
-        let fault = fault.unwrap_or_default();
-        let sopts = StreamingOptions::with_workers(workers);
-        let mut storage = String::new();
-        let source = open_source(input.as_deref(), opts.file.as_deref(), &mut storage)?;
-        let ((ty, verdicts), report) =
-            infer_validate_streaming_source(source, equiv, &schema, vopts, sopts, chunk, fault)
-                .map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
-        let mut out = PipeOut::new();
-        let mut invalid = 0usize;
-        for (line_no, verdict) in &verdicts {
-            if matches!(verdict, LineVerdict::Invalid) {
-                invalid += 1;
-                out.line(&format!("doc {line_no}: invalid"))?;
-            }
-        }
-        out.finish()?;
-        print_inferred_type(opts, &ty)?;
-        eprintln!(
-            "» {}/{} documents valid (combined pass), equivalence {}, type size {} nodes{suffix}",
-            verdicts.len() - invalid,
-            verdicts.len(),
-            equiv.name(),
-            jsonx::core::type_size(&ty)
-        );
-        return Ok(());
-    }
-    let text = read_text(opts.file.as_deref())?;
-    let sopts = StreamingOptions::with_workers(workers);
-    let (ty, verdicts, suffix) = if let Some(fault) = fault {
-        let ((ty, verdicts), report) =
-            infer_validate_streaming_guarded(&text, equiv, &schema, vopts, sopts, fault)
-                .map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
-        (ty, verdicts, suffix)
-    } else {
-        let outcome = infer_validate_streaming_parallel(&text, equiv, &schema, vopts, sopts);
-        let ty = outcome
-            .ty
-            .map_err(|(line, e)| format!("line {}: {e}", line + 1))?;
-        (ty, outcome.verdicts, String::new())
-    };
-    let lines: Vec<&str> = text.lines().collect();
-    let mut out = PipeOut::new();
-    let mut invalid = 0usize;
-    for (line_no, verdict) in &verdicts {
-        if matches!(verdict, LineVerdict::Invalid) {
-            invalid += 1;
-            let doc = parse(lines[*line_no]).expect("combined pass parsed this line");
-            if let Err(errors) = schema.validate_with(&doc, vopts) {
-                for e in errors {
-                    out.line(&format!("doc {line_no}: {e}"))?;
-                }
-            }
-        }
-    }
-    out.finish()?;
+    .map_err(stream_err)?;
+    report_run(opts, &report)?;
+    let invalid = run.print_verdicts(&verdicts, text.as_deref(), &schema, vopts)?;
     print_inferred_type(opts, &ty)?;
-    eprintln!(
-        "» {}/{} documents valid (combined pass), equivalence {}, type size {} nodes{suffix}",
+    let valid = format!(
+        "{}/{} documents valid",
         verdicts.len() - invalid,
-        verdicts.len(),
-        equiv.name(),
-        jsonx::core::type_size(&ty)
+        verdicts.len()
     );
+    let modes = ["combined pass", "combined pass, csv"];
+    let detail = type_detail(equiv, &ty);
+    eprintln!("{}", run.summary(&valid, modes, &detail, &report));
     Ok(())
 }
 
@@ -1278,210 +1218,63 @@ fn cmd_validate(opts: &Opts) -> Result<(), CliError> {
     let schema_path = opts
         .get("schema")
         .ok_or_else(|| CliError::usage("validate needs --schema SCHEMA.json"))?;
-    let schema_text = std::fs::read_to_string(schema_path)
-        .map_err(|e| CliError::io(format!("reading {schema_path}: {e}")))?;
-    let schema_doc =
-        parse(&schema_text).map_err(|e| CliError::data(format!("{schema_path}: {e}")))?;
-    let schema = CompiledSchema::compile(&schema_doc).map_err(|e| e.to_string())?;
-    // Identifies the schema in a checkpoint journal's header, so a
-    // resume with a different schema is refused instead of mixing
-    // verdicts from two schemas in one output.
-    let schema_tag = jsonx::data::crc32(schema_text.as_bytes());
+    let (schema_text, schema) = load_schema(schema_path)?;
     let vopts = ValidatorOptions {
         enforce_formats: opts.has("formats"),
     };
-    let workers: Option<usize> = parse_flag(opts, "workers")?;
-    let fault = fault_options(opts)?;
-    let chunked = chunk_cli(opts)?;
-    let csv = csv_requested(opts)?;
-    if opts.streaming_requested() {
-        return validate_streaming_cli(
-            opts,
-            &schema,
-            vopts,
-            workers.unwrap_or(0),
-            fault,
-            chunked,
-            csv,
-            schema_tag,
-        );
-    }
-    let docs = read_collection(opts.file.as_deref())?;
-    let mut out = PipeOut::new();
-    let mut invalid = 0usize;
-    for (i, doc) in docs.iter().enumerate() {
-        if let Err(errors) = schema.validate_with(doc, vopts) {
-            invalid += 1;
-            for e in errors {
-                out.line(&format!("doc {i}: {e}"))?;
-            }
-        }
-    }
-    out.finish()?;
-    eprintln!("» {}/{} documents valid", docs.len() - invalid, docs.len());
-    if invalid > 0 {
-        return Err(CliError::data(format!("{invalid} invalid documents")));
-    }
-    Ok(())
-}
-
-/// Streaming validation path: fail-fast probe per line on shared workers,
-/// then the error-collecting interpreter re-runs on *just* the invalid
-/// lines so diagnostics match the DOM path exactly.
-#[allow(clippy::too_many_arguments)]
-fn validate_streaming_cli(
-    opts: &Opts,
-    schema: &CompiledSchema,
-    vopts: ValidatorOptions,
-    workers: usize,
-    fault: Option<FaultOptions>,
-    chunked: Option<ChunkCli>,
-    csv: bool,
-    schema_tag: u32,
-) -> Result<(), CliError> {
-    let checkpoint = checkpoint_cli(opts, &chunked, csv)?;
-    if csv {
-        // CSV rows are synthesised records with no raw JSON line to
-        // re-validate, so invalid documents report line numbers only.
-        let (input, chunk) = match chunked {
-            Some(c) => (c.input, c.chunk),
-            None => (None, ChunkOptions::default()),
-        };
-        let fault = fault.unwrap_or_default();
-        let sopts = StreamingOptions::with_workers(workers);
-        let mut storage = String::new();
-        let source = open_source(input.as_deref(), opts.file.as_deref(), &mut storage)?;
-        let (header, source) = peel_csv_header(source)?;
-        let decoder = csv_decoder(&header, &fault)?;
-        let (verdicts, report) =
-            validate_streaming_decoded(source, decoder, schema, vopts, sopts, chunk, fault)
-                .map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
+    if !opts.streaming_requested() {
+        let docs = read_collection(opts.file.as_deref())?;
         let mut out = PipeOut::new();
         let mut invalid = 0usize;
-        for (line_no, verdict) in &verdicts {
-            match verdict {
-                LineVerdict::Valid => {}
-                LineVerdict::Invalid => {
-                    invalid += 1;
-                    out.line(&format!("doc {line_no}: invalid"))?;
-                }
-                LineVerdict::Malformed(e) => {
-                    return Err(CliError::data(format!("line {}: {e}", line_no + 1)))
-                }
-            }
-        }
-        out.finish()?;
-        eprintln!(
-            "» {}/{} documents valid (streaming csv){suffix}",
-            verdicts.len() - invalid,
-            verdicts.len()
-        );
-        if invalid > 0 {
-            return Err(CliError::data(format!("{invalid} invalid documents")));
-        }
-        return Ok(());
-    }
-    if let Some(ChunkCli { input, chunk }) = chunked {
-        // Chunk-dispatched path. The corpus may never be materialised,
-        // so invalid documents report line numbers only (re-run
-        // in-memory for full interpreter diagnostics).
-        let fault = fault.unwrap_or_default();
-        let sopts = StreamingOptions::with_workers(workers);
-        let fast = fast_parse_enabled(opts);
-        let (verdicts, report) = if let Some((journal, resume)) = &checkpoint {
-            let input = input.as_deref().expect("checkpoint_cli verified --input");
-            let ctrl = journal_control(std::path::Path::new(journal), *resume);
-            validate_streaming_journaled(
-                std::path::Path::new(input),
-                schema,
-                vopts,
-                sopts,
-                chunk,
-                fault,
-                fast,
-                schema_tag,
-                &ctrl,
-            )
-            .map_err(stream_err)?
-        } else {
-            let mut storage = String::new();
-            let source = open_source(input.as_deref(), opts.file.as_deref(), &mut storage)?;
-            validate_streaming_source(source, schema, vopts, sopts, chunk, fault, fast)
-                .map_err(stream_err)?
-        };
-        let suffix = finish_guarded_run(opts, &report)?;
-        let mut out = PipeOut::new();
-        let mut invalid = 0usize;
-        for (line_no, verdict) in &verdicts {
-            match verdict {
-                LineVerdict::Valid => {}
-                LineVerdict::Invalid => {
-                    invalid += 1;
-                    out.line(&format!("doc {line_no}: invalid"))?;
-                }
-                LineVerdict::Malformed(e) => {
-                    return Err(CliError::data(format!("line {}: {e}", line_no + 1)))
-                }
-            }
-        }
-        out.finish()?;
-        eprintln!(
-            "» {}/{} documents valid (streaming){suffix}",
-            verdicts.len() - invalid,
-            verdicts.len()
-        );
-        if invalid > 0 {
-            return Err(CliError::data(format!("{invalid} invalid documents")));
-        }
-        return Ok(());
-    }
-    let text = read_text(opts.file.as_deref())?;
-    let sopts = StreamingOptions::with_workers(workers);
-    let fast = fast_parse_enabled(opts);
-    let (verdicts, suffix) = if let Some(fault) = fault {
-        let (verdicts, report) = if fast {
-            validate_streaming_guarded_fast(&text, schema, vopts, sopts, fault)
-        } else {
-            validate_streaming_guarded(&text, schema, vopts, sopts, fault)
-        }
-        .map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
-        (verdicts, suffix)
-    } else {
-        let verdicts = if fast {
-            validate_streaming_parallel_fast(&text, schema, vopts, sopts)
-        } else {
-            validate_streaming_parallel(&text, schema, vopts, sopts)
-        };
-        (verdicts, String::new())
-    };
-    let lines: Vec<&str> = text.lines().collect();
-    let mut out = PipeOut::new();
-    let mut invalid = 0usize;
-    for (line_no, verdict) in &verdicts {
-        match verdict {
-            LineVerdict::Valid => {}
-            LineVerdict::Invalid => {
+        for (i, doc) in docs.iter().enumerate() {
+            if let Err(errors) = schema.validate_with(doc, vopts) {
                 invalid += 1;
-                let doc = parse(lines[*line_no]).expect("fail-fast path parsed this line");
-                if let Err(errors) = schema.validate_with(&doc, vopts) {
-                    for e in errors {
-                        out.line(&format!("doc {line_no}: {e}"))?;
-                    }
+                for e in errors {
+                    out.line(&format!("doc {i}: {e}"))?;
                 }
             }
-            LineVerdict::Malformed(e) => {
-                return Err(CliError::data(format!("line {}: {e}", line_no + 1)))
-            }
         }
+        out.finish()?;
+        eprintln!("» {}/{} documents valid", docs.len() - invalid, docs.len());
+        if invalid > 0 {
+            return Err(CliError::data(format!("{invalid} invalid documents")));
+        }
+        return Ok(());
     }
-    out.finish()?;
-    eprintln!(
-        "» {}/{} documents valid (streaming){suffix}",
+    // Streaming: fail-fast probe per record on shared workers, then the
+    // error-collecting interpreter re-runs on *just* the invalid records.
+    let run = StreamRun::from_opts(opts)?;
+    let text = run.load(opts)?;
+    let (sopts, chunk, fault, fast) = (run.sopts, run.chunk, run.fault, run.fast);
+    let (verdicts, report) = match run.journal() {
+        Some((input, ctrl)) => {
+            // Identifies the schema in the journal's header, so a resume
+            // with a different schema is refused instead of mixing
+            // verdicts from two schemas in one output.
+            let schema_tag = jsonx::data::crc32(schema_text.as_bytes());
+            validate_streaming_journaled(
+                input, &schema, vopts, sopts, chunk, fault, fast, schema_tag, &ctrl,
+            )
+        }
+        None => match run.open(&text)? {
+            Corpus::Json(source) => {
+                validate_streaming_source(source, &schema, vopts, sopts, chunk, fault, fast)
+            }
+            Corpus::Csv(source, csv) => {
+                validate_streaming_decoded(source, csv, &schema, vopts, sopts, chunk, fault)
+            }
+        },
+    }
+    .map_err(stream_err)?;
+    report_run(opts, &report)?;
+    let invalid = run.print_verdicts(&verdicts, text.as_deref(), &schema, vopts)?;
+    let valid = format!(
+        "{}/{} documents valid",
         verdicts.len() - invalid,
         verdicts.len()
     );
+    let modes = ["streaming", "streaming csv"];
+    eprintln!("{}", run.summary(&valid, modes, "", &report));
     if invalid > 0 {
         return Err(CliError::data(format!("{invalid} invalid documents")));
     }
@@ -1565,176 +1358,94 @@ fn cmd_convert(opts: &Opts) -> Result<(), CliError> {
 
 /// Schema-driven translation with a streaming columnar path.
 ///
-/// `--streaming` (or `--workers`) shreds newline-bounded shards into
-/// per-worker columnar batches concatenated in shard order — the type is
-/// inferred from the same text by the streaming typer, so no DOM for the
-/// whole collection ever exists. `--format csv` swaps the record decoder
-/// for the CSV front-end on the same engine; `--out FILE` persists the
-/// batch as binary `.jxc`. Other targets fall back to the DOM path
-/// shared with `convert`.
+/// `--streaming` (or `--workers`) shreds newline-bounded chunks into
+/// per-worker columnar batches concatenated in input order — the type is
+/// inferred from the same records by a first streaming pass, so no DOM
+/// for the whole collection ever exists. `--format csv` swaps the record
+/// decoder for the CSV front-end on the same engine; `--out FILE`
+/// persists the batch as binary `.jxc`, written row group by row group
+/// under `--input`. Other targets fall back to the DOM path shared with
+/// `convert`.
 fn cmd_translate(opts: &Opts) -> Result<(), CliError> {
     let target = opts.get("to").unwrap_or("columnar");
     let sink = OutputSink::for_target(target, opts.get("out")).map_err(CliError::Usage)?;
-    let workers: Option<usize> = parse_flag(opts, "workers")?;
-    let fault = fault_options(opts)?;
-    let chunked = chunk_cli(opts)?;
-    let csv = csv_requested(opts)?;
-    let checkpoint = checkpoint_cli(opts, &chunked, csv)?;
-    let streaming = opts.streaming_requested();
-    if streaming && !sink.wants_batch() {
+    if !opts.streaming_requested() {
+        let docs = read_collection(opts.file.as_deref())?;
+        return convert_collection(&sink, &docs);
+    }
+    let run = StreamRun::from_opts(opts)?;
+    if !sink.wants_batch() {
         return Err(CliError::usage(format!(
             "--streaming supports only columnar, not '{target}'"
         )));
     }
-    if !streaming {
-        let docs = read_collection(opts.file.as_deref())?;
-        return convert_collection(&sink, &docs);
+    if run.input.as_deref() == Some("-") {
+        return Err(CliError::usage(
+            "translate needs two passes over the corpus; --input - (stdin) cannot be \
+             re-read — pass a regular file",
+        ));
     }
-    let sopts = StreamingOptions::with_workers(workers.unwrap_or(0));
-    if csv {
-        // CSV translation is two decoded passes (type, then shred) over
-        // the same source; `--input -` can't be rewound for the second.
-        let (input, chunk) = match chunked {
-            Some(c) => (c.input, c.chunk),
-            None => (None, ChunkOptions::default()),
-        };
-        if input.as_deref() == Some("-") {
-            return Err(CliError::usage(
-                "translate needs two passes over the corpus; --input - (stdin) cannot be \
-                 re-read — pass a regular file",
-            ));
-        }
-        let fault = fault.unwrap_or_default();
-        let mut storage = String::new();
-        let source = open_source(input.as_deref(), opts.file.as_deref(), &mut storage)?;
-        let (header, source) = peel_csv_header(source)?;
-        let decoder = csv_decoder(&header, &fault)?;
-        let (ty, _) = infer_streaming_decoded(
-            source,
-            decoder.clone(),
+    let (sopts, chunk, fault, fast) = (run.sopts, run.chunk, run.fault, run.fast);
+    let modes = ["streaming", "streaming csv"];
+    if let (Some(input), Some(out), false) = (run.input.as_deref(), sink.jxc_out(), run.csv) {
+        // Row-grouped output: each chunk's rows are encoded on the
+        // worker that shredded them and appended to the `.jxc` in chunk
+        // order, so no merged batch is ever resident. With --checkpoint
+        // both passes commit into one journal (the inferred type is
+        // sealed between them), so a resume lands in whichever phase the
+        // run died in.
+        let journal = run.journal().map(|(_, ctrl)| ctrl);
+        let input = std::path::Path::new(input);
+        let (written, report) = translate_streaming_to_jxc(
+            input,
             Equivalence::Kind,
             sopts,
             chunk,
             fault,
+            fast,
+            out,
+            journal.as_ref(),
         )
         .map_err(stream_err)?;
-        let shredder = Shredder::from_type(&ty);
-        let source = match input.as_deref() {
-            Some(path) => StreamSource::Reader(open_input(path)?),
-            None => StreamSource::Slice(&storage),
-        };
-        let (_, source) = peel_csv_header(source)?;
-        let (batch, report) =
-            translate_streaming_decoded(source, decoder, &shredder, sopts, chunk, fault)
-                .map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
-        let out = sink.consume_batch(&batch)?;
+        report_run(opts, &report)?;
+        let layout = Shredder::from_type(&written.ty).stream().finish();
+        let out = OutputSink::written_report(&layout, written.rows, written.bytes, out);
         println!("{}", out.body);
-        eprintln!("» {} (streaming csv){suffix}", out.summary);
+        eprintln!("{}", run.summary(&out.summary, modes, "", &report));
         return Ok(());
     }
-    if let Some(ChunkCli { input, chunk }) = chunked {
-        // Translation is two passes over the corpus (type, then shred);
-        // out-of-core mode re-opens `--input` so neither pass
-        // materialises it. Stdin can't be rewound for the second pass.
-        if input.as_deref() == Some("-") {
-            return Err(CliError::usage(
-                "translate needs two passes over the corpus; --input - (stdin) cannot be \
-                 re-read — pass a regular file",
-            ));
-        }
-        if let (Some(input), Some(out)) = (input.as_deref(), sink.jxc_out()) {
-            // Row-grouped output: each chunk's rows are encoded on the
-            // worker that shredded them and appended to the `.jxc` in
-            // chunk order, so no merged batch is ever resident. With
-            // --checkpoint both passes commit into one journal (the
-            // inferred type is sealed between them), so a resume lands
-            // in whichever phase the run died in.
-            let fault = fault.unwrap_or_default();
-            let journal = checkpoint
-                .as_ref()
-                .map(|(journal, resume)| journal_control(std::path::Path::new(journal), *resume));
-            let (written, report) = translate_streaming_to_jxc(
-                std::path::Path::new(input),
-                Equivalence::Kind,
-                sopts,
-                chunk,
-                fault,
-                fast_parse_enabled(opts),
-                out,
-                journal.as_ref(),
-            )
-            .map_err(stream_err)?;
-            let suffix = finish_guarded_run(opts, &report)?;
-            let layout = Shredder::from_type(&written.ty).stream().finish();
-            let out = OutputSink::written_report(&layout, written.rows, written.bytes, out);
-            println!("{}", out.body);
-            eprintln!("» {} (streaming){suffix}", out.summary);
-            return Ok(());
-        }
-        if checkpoint.is_some() {
-            return Err(CliError::usage(
-                "translate --checkpoint needs --out FILE.jxc: the journal records where \
-                 each chunk's row group lands in that file",
-            ));
-        }
-        let fault = fault.unwrap_or_default();
-        let mut storage = String::new();
-        let source = open_source(input.as_deref(), opts.file.as_deref(), &mut storage)?;
-        let (ty, _) = infer_streaming_source(source, Equivalence::Kind, sopts, chunk, fault)
-            .map_err(stream_err)?;
-        let shredder = Shredder::from_type(&ty);
-        let source = match input.as_deref() {
-            Some(path) => StreamSource::Reader(open_input(path)?),
-            None => StreamSource::Slice(&storage),
-        };
-        let (batch, report) = translate_streaming_source(
-            source,
-            &shredder,
-            sopts,
-            chunk,
-            fault,
-            fast_parse_enabled(opts),
-        )
-        .map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
-        let out = sink.consume_batch(&batch)?;
-        println!("{}", out.body);
-        eprintln!("» {} (streaming){suffix}", out.summary);
-        return Ok(());
+    if run.checkpoint.is_some() {
+        return Err(CliError::usage(
+            "translate --checkpoint needs --out FILE.jxc: the journal records where \
+             each chunk's row group lands in that file",
+        ));
     }
-    let text = read_text(opts.file.as_deref())?;
-    if let Some(fault) = fault {
-        // Both passes run under the same policy: a record the typer
-        // rejected is rejected again (and quarantined) by the shredding
-        // pass, so the sidecar reflects what the batch actually dropped.
-        let (ty, _) =
-            infer_streaming_guarded(&text, Equivalence::Kind, sopts, fault).map_err(stream_err)?;
-        let shredder = Shredder::from_type(&ty);
-        let (batch, report) = if fast_parse_enabled(opts) {
-            translate_streaming_guarded_fast(&text, &shredder, sopts, fault)
-        } else {
-            translate_streaming_guarded(&text, &shredder, sopts, fault)
-        }
-        .map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
-        let out = sink.consume_batch(&batch)?;
-        println!("{}", out.body);
-        eprintln!("» {} (streaming){suffix}", out.summary);
-        return Ok(());
+    // Two passes over the corpus, type then shred; `--input` is re-opened
+    // so neither pass materialises it. Both passes run under the same
+    // policy: a record the typer rejected is rejected again (and
+    // quarantined) by the shredding pass, so the sidecar reflects what
+    // the batch actually dropped.
+    let text = run.load(opts)?;
+    let kind = Equivalence::Kind;
+    let (ty, _) = match run.open(&text)? {
+        Corpus::Json(source) => infer_streaming_source(source, kind, sopts, chunk, fault),
+        Corpus::Csv(source, csv) => infer_streaming_decoded(source, csv, kind, sopts, chunk, fault),
     }
-    let ty = infer_streaming_parallel(&text, Equivalence::Kind, sopts)
-        .map_err(|(line, e)| format!("line {}: {e}", line + 1))?;
+    .map_err(stream_err)?;
     let shredder = Shredder::from_type(&ty);
-    let batch = if fast_parse_enabled(opts) {
-        translate_streaming_parallel_fast(&text, &shredder, sopts)
-    } else {
-        translate_streaming_parallel(&text, &shredder, sopts)
+    let (batch, report) = match run.open(&text)? {
+        Corpus::Json(source) => {
+            translate_streaming_source(source, &shredder, sopts, chunk, fault, fast)
+        }
+        Corpus::Csv(source, csv) => {
+            translate_streaming_decoded(source, csv, &shredder, sopts, chunk, fault)
+        }
     }
-    .map_err(|(line, e)| format!("line {}: {e}", line + 1))?;
+    .map_err(stream_err)?;
+    report_run(opts, &report)?;
     let out = sink.consume_batch(&batch)?;
     println!("{}", out.body);
-    eprintln!("» {} (streaming)", out.summary);
+    eprintln!("{}", run.summary(&out.summary, modes, "", &report));
     Ok(())
 }
 

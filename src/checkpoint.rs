@@ -42,18 +42,17 @@
 //! pass resumes precisely, and the shred layout is reconstructed from
 //! the journal rather than re-inferred.
 
-use crate::fastpath::{FastJsonDecoder, FastPlan};
+use crate::fastpath::FastJsonDecoder;
 use crate::streaming::{
-    infer_streaming_source, seal_stage_outcome, FaultFold, FaultOptions, InferStage, LineVerdict,
+    infer_streaming_source, run_stage, FaultOptions, InferStage, Journal, LineVerdict, Prefix,
     RecordStage, ShardYield, StreamError, StreamSource, StreamingOptions, TranslateStage,
     ValidateStage,
 };
 use jsonx_core::{parse_type, print_type, Equivalence, JType, PrintOptions};
 use jsonx_data::{crc32_update, Number, Object, Value};
 use jsonx_pipeline::{
-    read_journal, run_source_controlled, ChunkJournal, ChunkMeta, ChunkOptions, Committer,
-    ErrorPolicy, ErrorSummary, JournalWriter, ReaderChunks, RecordDiagnostic, RunControl,
-    RunReport, DEFAULT_CHUNK_BYTES,
+    read_journal, ChunkJournal, ChunkMeta, ChunkOptions, Committer, ErrorPolicy, ErrorSummary,
+    JournalWriter, RecordDiagnostic, RunControl, RunReport,
 };
 use jsonx_schema::{CompiledSchema, ValidatorOptions};
 use jsonx_syntax::{parse, ParseLimits};
@@ -327,22 +326,6 @@ fn equiv_config(equiv: Equivalence) -> (&'static str, Value) {
     ("equiv", s(name))
 }
 
-fn header_record(
-    stage: &str,
-    chunk_bytes: usize,
-    input_bytes: u64,
-    config: Vec<(&str, Value)>,
-) -> Value {
-    obj(vec![
-        ("kind", s("header")),
-        ("v", Value::Num(Number::Int(JOURNAL_VERSION))),
-        ("stage", s(stage)),
-        ("chunk_bytes", num(chunk_bytes)),
-        ("input_bytes", num64(input_bytes)),
-        ("config", obj(config)),
-    ])
-}
-
 fn input_err(e: impl std::fmt::Display) -> StreamError {
     StreamError::Input(e.to_string())
 }
@@ -355,11 +338,30 @@ fn journal_err(context: &str, e: impl std::fmt::Display) -> StreamError {
 /// header; resumes read the intact prefix back, verify the header
 /// matches this invocation and the committed input bytes are unchanged,
 /// cut any torn tail, and return the committed records for replay.
+///
+/// The header names the stage, the chunk target, the input's length and
+/// the run's configuration: the stage's own `config` fields followed by
+/// the fault options.
 fn open_session(
     ctrl: &JournalControl<'_>,
     input: &Path,
-    header: Value,
+    stage: &str,
+    chunk: &ChunkOptions,
+    fault: &FaultOptions,
+    mut config: Vec<(&str, Value)>,
 ) -> Result<(JournalWriter, Vec<Value>), StreamError> {
+    let input_bytes = std::fs::metadata(input)
+        .map(|m| m.len())
+        .map_err(|e| input_err(format!("{}: {e}", input.display())))?;
+    config.extend(fault_config(fault));
+    let header = obj(vec![
+        ("kind", s("header")),
+        ("v", Value::Num(Number::Int(JOURNAL_VERSION))),
+        ("stage", s(stage)),
+        ("chunk_bytes", num(chunk.reader_chunk_bytes())),
+        ("input_bytes", num64(input_bytes)),
+        ("config", obj(config)),
+    ]);
     let path = ctrl.journal;
     if !ctrl.resume {
         let mut writer =
@@ -583,29 +585,15 @@ fn replay_outs<S: RecordStage>(
 // The journaled runner
 // ---------------------------------------------------------------------------
 
-fn effective_chunk_bytes(chunk: &ChunkOptions) -> usize {
-    if chunk.chunk_bytes > 0 {
-        chunk.chunk_bytes
-    } else {
-        DEFAULT_CHUNK_BYTES
-    }
-}
-
-fn input_len(input: &Path) -> Result<u64, StreamError> {
-    std::fs::metadata(input)
-        .map(|m| m.len())
-        .map_err(|e| StreamError::Input(format!("{}: {e}", input.display())))
-}
-
 /// Runs one stage pass with in-order chunk commits: accounts for the
-/// committed prefix, seeks the input past it, streams the tail through
-/// the engine with a [`ChunkJournal`] over `committer` as commit sink,
-/// and fuses `prefix_out` + tail into the same `(out, report)` contract
-/// the unjournaled entry points return. Interruption surfaces as
-/// [`StreamError::Interrupted`] *after* data-level failures, which a
-/// resume would deterministically re-hit.
+/// committed prefix, seeks the input past it, and hands the tail to the
+/// stage funnel ([`run_stage`]) with a [`ChunkJournal`] over `committer`
+/// as commit sink, so `prefix_out` + tail fuse into the same
+/// `(out, report)` contract the unjournaled entry points return. A
+/// failed commit outranks the run's own outcome: the journal on disk no
+/// longer matches the run.
 #[allow(clippy::too_many_arguments)]
-fn run_phase<S: RecordStage, C: Committer>(
+fn run_committed<S: RecordStage, C: Committer>(
     input: &Path,
     stage: &S,
     opts: StreamingOptions,
@@ -620,9 +608,6 @@ fn run_phase<S: RecordStage, C: Committer>(
 where
     S::Out: 'static,
 {
-    let fold = FaultFold::new(stage, fault);
-    let cap = fold.retention_cap();
-
     let mut bytes = 0u64;
     let mut lines = 0usize;
     let mut records = 0usize;
@@ -636,9 +621,8 @@ where
         bytes += c.bytes as u64;
         lines += c.lines;
         records += c.records;
-        errors.merge(c.errors.clone(), cap);
+        errors.merge(c.errors.clone(), fault.sample_cap());
     }
-    let resumed_chunks = committed.len();
 
     // Chunk boundaries depend only on bytes and the chunk target, so
     // seeking to the committed byte total lands exactly on the first
@@ -648,44 +632,35 @@ where
     if bytes > 0 {
         file.seek(SeekFrom::Start(bytes)).map_err(input_err)?;
     }
-    let workers = opts.effective_workers().max(1);
-    let target = effective_chunk_bytes(&chunk);
-    let ring = if chunk.ring > 0 { chunk.ring } else { workers };
-    let source =
-        ReaderChunks::with_offset(BufReader::new(file), target, ring, resumed_chunks, lines);
-
-    let journal = ChunkJournal::new(committer, resumed_chunks, prepare);
+    let journal = ChunkJournal::new(committer, committed.len(), prepare);
     let journal = match ctrl.and_then(|c| c.after_commit.clone()) {
         Some(hook) => journal.with_after_commit(move |n| hook(n)),
         None => journal,
     };
-    let control = RunControl {
-        sink: Some(&journal),
-        stop: ctrl.and_then(|c| c.stop),
-    };
-    let outcome =
-        run_source_controlled(&source, &fold, workers, chunk.timing, control).map_err(input_err)?;
+    let run = run_stage(
+        StreamSource::Reader(BufReader::new(file)),
+        stage,
+        opts,
+        chunk,
+        fault,
+        Some(Journal {
+            control: RunControl {
+                sink: Some(&journal),
+                stop: ctrl.and_then(|c| c.stop),
+            },
+            prefix: Prefix {
+                out: prefix_out,
+                chunks: committed.len(),
+                lines,
+                records,
+                errors,
+            },
+        }),
+    );
     let (committer, _committed_now) = journal
         .finish()
         .map_err(|e| StreamError::Input(format!("committing a chunk failed: {e}")))?;
-
-    let tail = outcome.out;
-    errors.merge(tail.errors, cap);
-    let out = match prefix_out {
-        Some(prefix) => stage.merge(prefix, tail.out),
-        None => tail.out,
-    };
-    let report = RunReport {
-        records: records + tail.records,
-        shards: resumed_chunks + outcome.shards,
-        errors,
-        poisoned: outcome.poisoned,
-        timings: outcome.timings,
-    };
-    let (out, report) = seal_stage_outcome(out, tail.halt, report, fault)?;
-    if outcome.interrupted {
-        return Err(StreamError::Interrupted);
-    }
+    let (out, report) = run?;
     Ok((out, report, committer))
 }
 
@@ -709,7 +684,7 @@ where
 {
     let committed = decode_records(&phase_chunks(records, phase))?;
     let prefix_out = replay_outs(stage, &committed, codec.decode)?;
-    run_phase(
+    run_committed(
         input,
         stage,
         opts,
@@ -742,15 +717,8 @@ pub fn infer_streaming_journaled(
     fault: FaultOptions,
     ctrl: &JournalControl<'_>,
 ) -> Result<(JType, RunReport), StreamError> {
-    let mut config = vec![equiv_config(equiv)];
-    config.extend(fault_config(&fault));
-    let header = header_record(
-        "infer",
-        effective_chunk_bytes(&chunk),
-        input_len(input)?,
-        config,
-    );
-    let (writer, committed) = open_session(ctrl, input, header)?;
+    let config = vec![equiv_config(equiv)];
+    let (writer, committed) = open_session(ctrl, input, "infer", &chunk, &fault, config)?;
     let stage = InferStage {
         equiv,
         decoder: jsonx_syntax::JsonDecoder::new().with_limits(fault.limits),
@@ -794,30 +762,16 @@ pub fn validate_streaming_journaled(
     // `fast` is deliberately absent: the fast path is verdict-identical,
     // so a resume may toggle it freely.
     let ValidatorOptions { enforce_formats } = options;
-    let mut config = vec![
+    let config = vec![
         ("schema", s(format!("{schema_tag:08x}"))),
         ("enforce_formats", Value::Bool(enforce_formats)),
     ];
-    config.extend(fault_config(&fault));
-    let header = header_record(
-        "validate",
-        effective_chunk_bytes(&chunk),
-        input_len(input)?,
-        config,
-    );
-    let (writer, committed) = open_session(ctrl, input, header)?;
+    let (writer, committed) = open_session(ctrl, input, "validate", &chunk, &fault, config)?;
     let stage = ValidateStage {
         schema,
         options,
         malformed_verdicts: false,
-        decoder: FastJsonDecoder::new(
-            if fast {
-                FastPlan::for_validation(schema, &fault.limits)
-            } else {
-                None
-            },
-            fault.limits,
-        ),
+        decoder: FastJsonDecoder::for_validation(schema, fast, fault.limits),
     };
     let (verdicts, report, _writer) = run_recorded_phase(
         input,
@@ -937,15 +891,9 @@ fn translate_to_jxc(
             (ty, None, Vec::new())
         }
         Some(ctrl) => {
-            let mut config = vec![equiv_config(equiv)];
-            config.extend(fault_config(&fault));
-            let header = header_record(
-                "translate",
-                effective_chunk_bytes(&chunk),
-                input_len(input)?,
-                config,
-            );
-            let (mut writer, committed) = open_session(ctrl, input, header)?;
+            let config = vec![equiv_config(equiv)];
+            let (mut writer, committed) =
+                open_session(ctrl, input, "translate", &chunk, &fault, config)?;
             let ty = match type_marker(&committed) {
                 Some(printed) => parse_type(printed)
                     .map_err(|e| journal_err("type marker does not parse", format!("{e:?}")))?,
@@ -983,14 +931,7 @@ fn translate_to_jxc(
     let layout = shredder.stream().finish();
     let stage = TranslateStage {
         shredder: &shredder,
-        decoder: FastJsonDecoder::new(
-            if fast {
-                FastPlan::for_translation(&shredder, &fault.limits)
-            } else {
-                None
-            },
-            fault.limits,
-        ),
+        decoder: FastJsonDecoder::for_translation(&shredder, fast, fault.limits),
     };
     let prefix = decode_records(&phase_chunks(&committed, 2))?;
     let groups = prefix
@@ -1043,7 +984,7 @@ fn translate_to_jxc(
             },
         })
     };
-    let (_, report, committer) = run_phase(
+    let (_, report, committer) = run_committed(
         input, &stage, opts, chunk, fault, &prefix, None, committer, prepare, journal,
     )?;
     let rows = committer.jxc.rows();

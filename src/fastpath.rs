@@ -44,10 +44,7 @@ impl FastPlan {
     /// schema's verdict can depend on. `None` when the schema inspects
     /// objects in ways projection cannot preserve — the stage then runs
     /// the slow path for every record.
-    pub(crate) fn for_validation(
-        schema: &CompiledSchema,
-        limits: &ParseLimits,
-    ) -> Option<FastPlan> {
+    fn for_validation(schema: &CompiledSchema, limits: &ParseLimits) -> Option<FastPlan> {
         // A string cap must see every literal, but the scanner never
         // parses skipped spans — an oversized string hiding in one would
         // slip through. Decline; the full parser enforces the cap.
@@ -68,7 +65,7 @@ impl FastPlan {
 
     /// The translation-side plan: project to the shred plan's top-level
     /// field names. `None` for non-record layouts and discovering mode.
-    pub(crate) fn for_translation(shredder: &Shredder, limits: &ParseLimits) -> Option<FastPlan> {
+    fn for_translation(shredder: &Shredder, limits: &ParseLimits) -> Option<FastPlan> {
         // Same reasoning as `for_validation`: a configured string cap
         // requires the full parser's eyes on every literal.
         if limits.max_string_bytes.is_some() {
@@ -144,8 +141,33 @@ pub(crate) struct FastJsonDecoder {
 }
 
 impl FastJsonDecoder {
-    pub(crate) fn new(plan: Option<FastPlan>, limits: ParseLimits) -> FastJsonDecoder {
-        FastJsonDecoder { plan, limits }
+    /// The validation decoder: projected to the schema's root fields when
+    /// `fast` is set and the schema allows it, the full parser otherwise.
+    pub(crate) fn for_validation(
+        schema: &CompiledSchema,
+        fast: bool,
+        limits: ParseLimits,
+    ) -> FastJsonDecoder {
+        let plan = fast.then(|| FastPlan::for_validation(schema, &limits));
+        FastJsonDecoder {
+            plan: plan.flatten(),
+            limits,
+        }
+    }
+
+    /// The translation decoder: projected to the shred plan's root fields
+    /// when `fast` is set and the layout allows it, the full parser
+    /// otherwise.
+    pub(crate) fn for_translation(
+        shredder: &Shredder,
+        fast: bool,
+        limits: ParseLimits,
+    ) -> FastJsonDecoder {
+        let plan = fast.then(|| FastPlan::for_translation(shredder, &limits));
+        FastJsonDecoder {
+            plan: plan.flatten(),
+            limits,
+        }
     }
 
     fn parser_options(&self) -> ParserOptions {

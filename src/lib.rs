@@ -68,8 +68,7 @@ pub use quarantine::{write_quarantine, write_quarantine_file};
 pub use streaming::{
     infer_document_events, infer_streaming, infer_streaming_decoded, infer_streaming_guarded,
     infer_streaming_parallel, infer_streaming_source, infer_validate_streaming,
-    infer_validate_streaming_decoded, infer_validate_streaming_guarded,
-    infer_validate_streaming_parallel, infer_validate_streaming_source, translate_streaming,
+    infer_validate_streaming_decoded, infer_validate_streaming_parallel, translate_streaming,
     translate_streaming_decoded, translate_streaming_guarded, translate_streaming_guarded_fast,
     translate_streaming_parallel, translate_streaming_parallel_fast, translate_streaming_source,
     validate_streaming, validate_streaming_decoded, validate_streaming_guarded,

@@ -21,8 +21,9 @@
 //!   verdict vectors concatenated in shard order.
 //! * [`infer_validate_streaming_parallel`] — the combined single pass:
 //!   **one tokenisation** per line feeds both the typer and the
-//!   validator ([`StreamTyper::type_and_build`] builds the DOM value for
-//!   the validator from the same raw-event walk that types the line).
+//!   validator ([`StreamTyper::type_and_build_decoded`] builds the DOM
+//!   value for the validator from the same event walk that types the
+//!   line).
 //! * [`translate_streaming_parallel`] — §5's schema-driven translation:
 //!   per-shard Arrow-like columnar batches
 //!   ([`ShredStream`](jsonx_translate::ShredStream)), concatenated in
@@ -44,13 +45,14 @@
 //! - the container frame stack is reused across documents, so steady-state
 //!   typing of uniform documents performs no stack (re)allocation at all.
 
-use crate::fastpath::{FastJsonDecoder, FastPlan};
+use crate::fastpath::FastJsonDecoder;
 use jsonx_core::{fuse, Equivalence, JType};
 use jsonx_core::{ArrayType, FieldName, FieldType, RecordType};
 use jsonx_data::Value;
 use jsonx_pipeline::{
-    merge_line_results, run_lines, run_lines_stealing, run_reader_caught, ChunkOptions,
-    ErrorPolicy, ErrorSummary, RecordDiagnostic, RunReport, ShardFold, ShardPanic,
+    merge_line_results, run_lines_stealing, run_source_controlled, ChunkError, ChunkOptions,
+    ErrorPolicy, ErrorSummary, ReaderChunks, RecordDiagnostic, RunControl, RunReport, ShardFold,
+    ShardPanic,
 };
 use jsonx_schema::{CompiledSchema, FastValidator, ValidatorOptions};
 use jsonx_syntax::{
@@ -396,11 +398,18 @@ pub enum StreamError {
     /// Under [`ErrorPolicy::FailFast`]: a worker panicked, with shard
     /// provenance.
     ShardPanicked(ShardPanic),
-    /// The input itself could not be read (out-of-core mode only): an
-    /// I/O failure or non-UTF-8 bytes. No error policy applies — without
+    /// The input itself could not be read (out-of-core mode only), or a
+    /// journal or output file failed. No error policy applies — without
     /// readable bytes there is no trustworthy record numbering to skip
     /// past — so any partial results are discarded.
     Input(String),
+    /// The input is not valid UTF-8 (out-of-core mode only). Malformed
+    /// data rather than a read failure, but like [`StreamError::Input`]
+    /// no error policy applies and partial results are discarded.
+    NotUtf8 {
+        /// Zero-based line index where the invalid byte sequence starts.
+        line: usize,
+    },
     /// A journaled run was stopped gracefully (signal, operator) after
     /// committing a resumable prefix to its checkpoint journal. Not an
     /// input fault: rerunning with `--resume` continues from the last
@@ -417,6 +426,9 @@ impl std::fmt::Display for StreamError {
             }
             StreamError::ShardPanicked(p) => write!(f, "{p}"),
             StreamError::Input(msg) => write!(f, "{msg}"),
+            StreamError::NotUtf8 { line } => {
+                write!(f, "input is not valid UTF-8 (at line {})", line + 1)
+            }
             StreamError::Interrupted => {
                 write!(f, "interrupted; committed progress is resumable")
             }
@@ -450,7 +462,8 @@ impl Default for FaultOptions {
 }
 
 impl FaultOptions {
-    fn sample_cap(&self) -> usize {
+    /// How many rejected-record diagnostics a run retains.
+    pub(crate) fn sample_cap(&self) -> usize {
         if self.keep_rejects {
             usize::MAX
         } else {
@@ -535,13 +548,6 @@ impl<'s, S> FaultFold<'s, S> {
             max_errors: fault.policy.max_errors(),
             fault,
         }
-    }
-
-    /// The diagnostic-retention cap this fold applies when merging
-    /// [`ErrorSummary`]s — journaled runs re-apply it when fusing a
-    /// resumed prefix with fresh tail results.
-    pub(crate) fn retention_cap(&self) -> usize {
-        self.sample_cap
     }
 }
 
@@ -666,56 +672,104 @@ impl<'a> StreamSource<'a> {
     }
 }
 
-/// Runs a stage under the fault layer and folds the outcome into the
-/// `(result, report)` / [`StreamError`] contract every guarded entry point
-/// shares.
-fn run_stage<S: RecordStage>(
-    ndjson: &str,
-    stage: &S,
-    opts: StreamingOptions,
-    fault: FaultOptions,
-) -> Result<(S::Out, RunReport), StreamError> {
-    run_stage_source(
-        StreamSource::slice(ndjson),
-        stage,
-        opts,
-        ChunkOptions::default(),
-        fault,
-    )
+/// What a resumed journaled run already committed: the fused output of
+/// its committed chunks, their record and rejection account, and where
+/// the input's chunk sequence continues.
+pub(crate) struct Prefix<T> {
+    pub(crate) out: Option<T>,
+    pub(crate) chunks: usize,
+    pub(crate) lines: usize,
+    pub(crate) records: usize,
+    pub(crate) errors: ErrorSummary,
 }
 
-/// [`run_stage`] generalised over input sources and chunk dispatch knobs
-/// — the single execution path every entry point (in-memory or
-/// out-of-core) now funnels through.
-fn run_stage_source<R: std::io::BufRead + Send, S: RecordStage>(
+/// One journaled pass: the engine control that commits every chunk (and
+/// may stop the run), plus the committed prefix it continues from.
+pub(crate) struct Journal<'a, T> {
+    pub(crate) control: RunControl<'a, ShardYield<T>>,
+    pub(crate) prefix: Prefix<T>,
+}
+
+/// The one execution path behind every streaming entry point: runs
+/// `stage` under the fault layer on the engine, accounts the run in a
+/// [`RunReport`] and folds it into the `(result, report)` /
+/// [`StreamError`] contract.
+///
+/// In-memory slices ride the work-stealing dispatcher (with its
+/// sequential fallback); readers stream out-of-core through a bounded
+/// ring of chunk buffers. A `journal` (reader sources only) commits
+/// every chunk through its control and continues from its prefix: the
+/// chunk sequence and line numbering pick up where the prefix ended (the
+/// caller positioned the reader there), and the prefix's output and
+/// account fuse in front of the tail's. A stop observed through the
+/// control surfaces as [`StreamError::Interrupted`], after any
+/// data-level failure, which a resume would deterministically re-hit.
+pub(crate) fn run_stage<R: std::io::BufRead + Send, S: RecordStage>(
     source: StreamSource<'_, R>,
     stage: &S,
     opts: StreamingOptions,
     chunk: ChunkOptions,
     fault: FaultOptions,
+    journal: Option<Journal<'_, S::Out>>,
 ) -> Result<(S::Out, RunReport), StreamError> {
     let fold = FaultFold::new(stage, fault);
+    let (control, prefix) = match journal {
+        Some(journal) => (journal.control, journal.prefix),
+        None => (
+            RunControl::default(),
+            Prefix {
+                out: None,
+                chunks: 0,
+                lines: 0,
+                records: 0,
+                errors: ErrorSummary::new(),
+            },
+        ),
+    };
     let outcome = match source {
         StreamSource::Slice(ndjson) => run_lines_stealing(ndjson, &fold, opts, chunk),
-        StreamSource::Reader(reader) => run_reader_caught(reader, &fold, opts, chunk)
-            .map_err(|e| StreamError::Input(e.to_string()))?,
+        StreamSource::Reader(reader) => {
+            let workers = opts.effective_workers().max(1);
+            let ring = if chunk.ring > 0 { chunk.ring } else { workers };
+            let chunks = ReaderChunks::with_offset(
+                reader,
+                chunk.reader_chunk_bytes(),
+                ring,
+                prefix.chunks,
+                prefix.lines,
+            );
+            run_source_controlled(&chunks, &fold, workers, chunk.timing, control).map_err(|e| {
+                match e {
+                    ChunkError::NotUtf8 { line } => StreamError::NotUtf8 { line },
+                    io => StreamError::Input(io.to_string()),
+                }
+            })?
+        }
     };
-    let yielded = outcome.out;
+    let tail = outcome.out;
+    let mut errors = prefix.errors;
+    errors.merge(tail.errors, fault.sample_cap());
+    let out = match prefix.out {
+        Some(prefix_out) => stage.merge(prefix_out, tail.out),
+        None => tail.out,
+    };
     let report = RunReport {
-        records: yielded.records,
-        shards: outcome.shards,
-        errors: yielded.errors,
+        records: prefix.records + tail.records,
+        shards: prefix.chunks + outcome.shards,
+        errors,
         poisoned: outcome.poisoned,
         timings: outcome.timings,
     };
-    seal_stage_outcome(yielded.out, yielded.halt, report, fault)
+    let sealed = seal_stage_outcome(out, tail.halt, report, fault)?;
+    if outcome.interrupted {
+        return Err(StreamError::Interrupted);
+    }
+    Ok(sealed)
 }
 
 /// Folds a finished run's halt state and report into the
-/// `(result, report)` / [`StreamError`] contract — shared by the plain
-/// funnel above and the journaled runs in [`crate::checkpoint`], which
-/// build their reports from a resumed prefix plus fresh tail chunks.
-pub(crate) fn seal_stage_outcome<T>(
+/// `(result, report)` / [`StreamError`] contract.
+fn seal_stage_outcome<T>(
     out: T,
     halt: Option<Halt>,
     mut report: RunReport,
@@ -742,21 +796,30 @@ pub(crate) fn seal_stage_outcome<T>(
     }
 }
 
-/// Maps a fail-fast [`StreamError`] back onto the historical
-/// `(line, ParseError)` shape, panicking (with shard provenance) on a
-/// poisoned shard — the legacy entry points cannot carry a panic in their
-/// signatures.
-fn legacy_parse_error<T>(
+/// Maps a fail-fast run onto the historical `(line, error)` shape,
+/// panicking (with shard provenance) on a poisoned shard — the historical
+/// entry points cannot carry a panic in their signatures.
+fn fail_fast<T, E>(
     result: Result<(T, RunReport), StreamError>,
-) -> Result<T, (usize, ParseError)> {
+    issue: fn(RecordIssue) -> E,
+) -> Result<T, (usize, E)> {
     match result {
         Ok((out, _report)) => Ok(out),
-        Err(StreamError::Record {
-            record,
-            issue: RecordIssue::Parse(e),
-        }) => Err((record, e)),
+        Err(StreamError::Record { record, issue: i }) => Err((record, issue(i))),
         Err(StreamError::ShardPanicked(p)) => panic!("pipeline {p}"),
-        Err(e) => unreachable!("fail-fast parse stage produced {e:?}"),
+        Err(e) => unreachable!("fail-fast in-memory run produced {e:?}"),
+    }
+}
+
+/// The output of an in-memory run whose stage records malformed lines as
+/// inline verdicts: it rejects nothing, so the fail-fast run can only fail
+/// on a poisoned shard, which panics with its provenance as in
+/// [`fail_fast`].
+fn inline_outcome<T>(result: Result<(T, RunReport), StreamError>) -> T {
+    match result {
+        Ok((out, _report)) => out,
+        Err(StreamError::ShardPanicked(p)) => panic!("pipeline {p}"),
+        Err(e) => unreachable!("a stage with inline verdicts produced {e:?}"),
     }
 }
 
@@ -842,11 +905,17 @@ pub fn infer_streaming_parallel(
     equiv: Equivalence,
     opts: StreamingOptions,
 ) -> Result<JType, (usize, ParseError)> {
-    let stage = InferStage {
+    let run = infer_streaming_source(
+        StreamSource::slice(ndjson),
         equiv,
-        decoder: JsonDecoder::new(),
-    };
-    legacy_parse_error(run_stage(ndjson, &stage, opts, FaultOptions::default()))
+        opts,
+        ChunkOptions::default(),
+        FaultOptions::default(),
+    );
+    fail_fast(run, |issue| match issue {
+        RecordIssue::Parse(e) => e,
+        RecordIssue::NotARecord => unreachable!("inference types any JSON value"),
+    })
 }
 
 /// Streaming inference under an explicit [error policy](FaultOptions).
@@ -863,11 +932,8 @@ pub fn infer_streaming_guarded(
     opts: StreamingOptions,
     fault: FaultOptions,
 ) -> Result<(JType, RunReport), StreamError> {
-    let stage = InferStage {
-        equiv,
-        decoder: JsonDecoder::new().with_limits(fault.limits),
-    };
-    run_stage(ndjson, &stage, opts, fault)
+    let source = StreamSource::slice(ndjson);
+    infer_streaming_source(source, equiv, opts, ChunkOptions::default(), fault)
 }
 
 /// Streaming inference over any [`StreamSource`]: in-memory slices ride
@@ -881,11 +947,8 @@ pub fn infer_streaming_source<R: std::io::BufRead + Send>(
     chunk: ChunkOptions,
     fault: FaultOptions,
 ) -> Result<(JType, RunReport), StreamError> {
-    let stage = InferStage {
-        equiv,
-        decoder: JsonDecoder::new().with_limits(fault.limits),
-    };
-    run_stage_source(source, &stage, opts, chunk, fault)
+    let decoder = JsonDecoder::new().with_limits(fault.limits);
+    infer_streaming_decoded(source, decoder, equiv, opts, chunk, fault)
 }
 
 /// Streaming inference through an arbitrary [`RecordDecoder`] — the
@@ -903,7 +966,7 @@ pub fn infer_streaming_decoded<R: std::io::BufRead + Send, D: RecordDecoder>(
     fault: FaultOptions,
 ) -> Result<(JType, RunReport), StreamError> {
     let stage = InferStage { equiv, decoder };
-    run_stage_source(source, &stage, opts, chunk, fault)
+    run_stage(source, &stage, opts, chunk, fault, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -1032,7 +1095,7 @@ pub fn validate_streaming_parallel(
     options: ValidatorOptions,
     opts: StreamingOptions,
 ) -> Vec<(usize, LineVerdict)> {
-    validate_parallel_impl(ndjson, schema, options, opts, None)
+    validate_inline(ndjson, schema, options, opts, false)
 }
 
 /// [`validate_streaming_parallel`] with the fused structural fast path enabled.
@@ -1050,30 +1113,34 @@ pub fn validate_streaming_parallel_fast(
     options: ValidatorOptions,
     opts: StreamingOptions,
 ) -> Vec<(usize, LineVerdict)> {
-    let fast = FastPlan::for_validation(schema, &ParseLimits::default());
-    validate_parallel_impl(ndjson, schema, options, opts, fast)
+    validate_inline(ndjson, schema, options, opts, true)
 }
 
-fn validate_parallel_impl(
+/// The historical face of validation: malformed lines become inline
+/// [`LineVerdict::Malformed`] entries instead of rejects.
+fn validate_inline(
     ndjson: &str,
     schema: &CompiledSchema,
     options: ValidatorOptions,
     opts: StreamingOptions,
-    fast: Option<FastPlan>,
+    fast: bool,
 ) -> Vec<(usize, LineVerdict)> {
     let stage = ValidateStage {
         schema,
         options,
         malformed_verdicts: true,
-        decoder: FastJsonDecoder::new(fast, ParseLimits::default()),
+        decoder: FastJsonDecoder::for_validation(schema, fast, ParseLimits::default()),
     };
-    // With malformed lines recorded as inline verdicts, the stage rejects
-    // nothing, so the fail-fast run can only fail on a poisoned shard.
-    match run_stage(ndjson, &stage, opts, FaultOptions::default()) {
-        Ok((verdicts, _report)) => verdicts,
-        Err(StreamError::ShardPanicked(p)) => panic!("pipeline {p}"),
-        Err(e) => unreachable!("verdict-only validation produced {e:?}"),
-    }
+    let source = StreamSource::slice(ndjson);
+    let fault = FaultOptions::default();
+    inline_outcome(run_stage(
+        source,
+        &stage,
+        opts,
+        ChunkOptions::default(),
+        fault,
+        None,
+    ))
 }
 
 /// Streaming validation under an explicit [error policy](FaultOptions).
@@ -1091,7 +1158,16 @@ pub fn validate_streaming_guarded(
     opts: StreamingOptions,
     fault: FaultOptions,
 ) -> Result<(Vec<(usize, LineVerdict)>, RunReport), StreamError> {
-    validate_guarded_impl(ndjson, schema, options, opts, fault, None)
+    let source = StreamSource::slice(ndjson);
+    validate_streaming_source(
+        source,
+        schema,
+        options,
+        opts,
+        ChunkOptions::default(),
+        fault,
+        false,
+    )
 }
 
 /// [`validate_streaming_guarded`] with the fused structural fast path enabled.
@@ -1108,25 +1184,16 @@ pub fn validate_streaming_guarded_fast(
     opts: StreamingOptions,
     fault: FaultOptions,
 ) -> Result<(Vec<(usize, LineVerdict)>, RunReport), StreamError> {
-    let fast = FastPlan::for_validation(schema, &fault.limits);
-    validate_guarded_impl(ndjson, schema, options, opts, fault, fast)
-}
-
-fn validate_guarded_impl(
-    ndjson: &str,
-    schema: &CompiledSchema,
-    options: ValidatorOptions,
-    opts: StreamingOptions,
-    fault: FaultOptions,
-    fast: Option<FastPlan>,
-) -> Result<(Vec<(usize, LineVerdict)>, RunReport), StreamError> {
-    let stage = ValidateStage {
+    let source = StreamSource::slice(ndjson);
+    validate_streaming_source(
+        source,
         schema,
         options,
-        malformed_verdicts: false,
-        decoder: FastJsonDecoder::new(fast, fault.limits),
-    };
-    run_stage(ndjson, &stage, opts, fault)
+        opts,
+        ChunkOptions::default(),
+        fault,
+        true,
+    )
 }
 
 /// Streaming validation over any [`StreamSource`]; `fast` enables the
@@ -1144,20 +1211,8 @@ pub fn validate_streaming_source<R: std::io::BufRead + Send>(
     fault: FaultOptions,
     fast: bool,
 ) -> Result<(Vec<(usize, LineVerdict)>, RunReport), StreamError> {
-    let stage = ValidateStage {
-        schema,
-        options,
-        malformed_verdicts: false,
-        decoder: FastJsonDecoder::new(
-            if fast {
-                FastPlan::for_validation(schema, &fault.limits)
-            } else {
-                None
-            },
-            fault.limits,
-        ),
-    };
-    run_stage_source(source, &stage, opts, chunk, fault)
+    let decoder = FastJsonDecoder::for_validation(schema, fast, fault.limits);
+    validate_streaming_decoded(source, decoder, schema, options, opts, chunk, fault)
 }
 
 /// Streaming validation through an arbitrary [`RecordDecoder`]: decoded
@@ -1180,7 +1235,7 @@ pub fn validate_streaming_decoded<R: std::io::BufRead + Send, D: RecordDecoder>(
         malformed_verdicts: false,
         decoder,
     };
-    run_stage_source(source, &stage, opts, chunk, fault)
+    run_stage(source, &stage, opts, chunk, fault, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -1198,68 +1253,84 @@ pub struct InferValidateOutcome {
     pub verdicts: Vec<(usize, LineVerdict)>,
 }
 
-/// The combined stage: one tokenisation per line feeds both the typer and
-/// the compiled validator.
-struct InferValidateFold<'s> {
+/// The combined stage: one tokenisation per record feeds both the typer
+/// and the compiled validator. Like [`ValidateStage`] it has two faces:
+/// the historical one (`malformed_verdicts`) records a malformed line as
+/// an inline [`LineVerdict::Malformed`] entry and as the outcome's type
+/// error, and rejects nothing; the guarded one rejects it to the fault
+/// layer, so the type and the verdicts cover exactly the accepted
+/// records.
+struct InferValidateStage<'s, D: RecordDecoder> {
     equiv: Equivalence,
     schema: &'s CompiledSchema,
     options: ValidatorOptions,
+    malformed_verdicts: bool,
+    decoder: D,
 }
 
-struct InferValidateState<'s> {
-    typer: StreamTyper,
-    validator: FastValidator<'s>,
-    acc: Result<JType, (usize, ParseError)>,
-    verdicts: Vec<(usize, LineVerdict)>,
-}
-
-impl<'s> ShardFold<str> for InferValidateFold<'s> {
-    type State = InferValidateState<'s>;
-    type Out = InferValidateOutcome;
-
-    fn init(&self) -> InferValidateState<'s> {
-        InferValidateState {
-            typer: StreamTyper::new(self.equiv),
-            validator: self.schema.fast_validator_with(self.options),
-            acc: Ok(JType::Bottom),
+impl InferValidateOutcome {
+    fn empty() -> InferValidateOutcome {
+        InferValidateOutcome {
+            ty: Ok(JType::Bottom),
             verdicts: Vec::new(),
         }
     }
+}
 
-    fn feed(&self, state: &mut InferValidateState<'s>, line: &str, line_no: usize) {
-        if line.trim().is_empty() {
-            return;
-        }
-        match state.typer.type_and_build(line.as_bytes()) {
+impl<'s, D: RecordDecoder> RecordStage for InferValidateStage<'s, D> {
+    type State = (
+        StreamTyper,
+        FastValidator<'s>,
+        D::Scratch,
+        InferValidateOutcome,
+    );
+    type Out = InferValidateOutcome;
+
+    fn init(&self) -> Self::State {
+        (
+            StreamTyper::new(self.equiv),
+            self.schema.fast_validator_with(self.options),
+            self.decoder.scratch(),
+            InferValidateOutcome::empty(),
+        )
+    }
+
+    fn record(
+        &self,
+        (typer, validator, scratch, acc): &mut Self::State,
+        line: &str,
+        record: usize,
+    ) -> Result<(), RecordIssue> {
+        match typer.type_and_build_decoded(&self.decoder, scratch, line) {
             Ok((ty, doc)) => {
-                if let Ok(acc) = &mut state.acc {
-                    let current = std::mem::replace(acc, JType::Bottom);
-                    *acc = fuse(current, ty, self.equiv);
+                if let Ok(fused) = &mut acc.ty {
+                    let current = std::mem::replace(fused, JType::Bottom);
+                    *fused = fuse(current, ty, self.equiv);
                 }
-                let verdict = if state.validator.is_valid(&doc) {
+                let verdict = if validator.is_valid(&doc) {
                     LineVerdict::Valid
                 } else {
                     LineVerdict::Invalid
                 };
-                state.verdicts.push((line_no, verdict));
+                acc.verdicts.push((record, verdict));
+                Ok(())
             }
-            Err(e) => {
-                if state.acc.is_ok() {
-                    state.acc = Err((line_no, e.clone()));
+            Err(e) if self.malformed_verdicts => {
+                if acc.ty.is_ok() {
+                    acc.ty = Err((record, e.clone()));
                 }
-                state.verdicts.push((line_no, LineVerdict::Malformed(e)));
+                acc.verdicts.push((record, LineVerdict::Malformed(e)));
+                Ok(())
             }
+            Err(e) => Err(RecordIssue::Parse(e)),
         }
     }
 
-    fn finish(&self, state: InferValidateState<'s>) -> InferValidateOutcome {
-        InferValidateOutcome {
-            ty: state.acc,
-            verdicts: state.verdicts,
-        }
+    fn finish(&self, (_, _, _, acc): Self::State) -> Self::Out {
+        acc
     }
 
-    fn merge(&self, left: InferValidateOutcome, right: InferValidateOutcome) -> Self::Out {
+    fn merge(&self, left: Self::Out, right: Self::Out) -> Self::Out {
         let mut verdicts = left.verdicts;
         verdicts.extend(right.verdicts);
         InferValidateOutcome {
@@ -1268,22 +1339,19 @@ impl<'s> ShardFold<str> for InferValidateFold<'s> {
         }
     }
 
-    fn take(&self, state: &mut InferValidateState<'s>) -> InferValidateOutcome {
-        // Typer and validator survive across chunks; the fused type and
-        // the verdict vector are the chunk's output.
-        InferValidateOutcome {
-            ty: std::mem::replace(&mut state.acc, Ok(JType::Bottom)),
-            verdicts: std::mem::take(&mut state.verdicts),
-        }
+    fn take(&self, (_, _, _, acc): &mut Self::State) -> Self::Out {
+        // Typer, validator and decoder scratch survive across chunks; the
+        // fused type and the verdict vector are the chunk's output.
+        std::mem::replace(acc, InferValidateOutcome::empty())
     }
 }
 
 /// Infers **and** validates an NDJSON collection in one sequential pass.
 ///
 /// Each non-blank line is tokenised once
-/// ([`StreamTyper::type_and_build`]): the raw-event walk types the line
-/// for the fusion fold while rebuilding the document value for the
-/// compiled fail-fast validator. The outcome's type equals
+/// ([`StreamTyper::type_and_build_decoded`]): the raw-event walk types
+/// the line for the fusion fold while rebuilding the document value for
+/// the compiled fail-fast validator. The outcome's type equals
 /// [`infer_streaming`] and its verdicts equal [`validate_streaming`] on
 /// the same input — pinned by `tests/pipeline_equivalence.rs` — for half the
 /// tokenisation work of running the two passes back to back.
@@ -1312,133 +1380,28 @@ pub fn infer_validate_streaming_parallel(
     options: ValidatorOptions,
     opts: StreamingOptions,
 ) -> InferValidateOutcome {
-    let fold = InferValidateFold {
+    let stage = InferValidateStage {
         equiv,
         schema,
         options,
+        malformed_verdicts: true,
+        decoder: JsonDecoder::new(),
     };
-    match run_lines(ndjson, &fold, opts) {
-        Ok(outcome) => outcome,
-        Err(p) => panic!("pipeline {p}"),
-    }
-}
-
-/// The combined single-pass stage under a tolerant policy: one
-/// tokenisation per accepted record feeds both the typer and the compiled
-/// validator; rejected records appear in neither the type nor the verdict
-/// vector (unlike the legacy combined pass, which records malformed lines
-/// as inline verdicts).
-struct InferValidateStage<'s, D: RecordDecoder> {
-    equiv: Equivalence,
-    schema: &'s CompiledSchema,
-    options: ValidatorOptions,
-    decoder: D,
-}
-
-impl<'s, D: RecordDecoder> RecordStage for InferValidateStage<'s, D> {
-    type State = (
-        StreamTyper,
-        FastValidator<'s>,
-        D::Scratch,
-        JType,
-        Vec<(usize, LineVerdict)>,
-    );
-    type Out = (JType, Vec<(usize, LineVerdict)>);
-
-    fn init(&self) -> Self::State {
-        (
-            StreamTyper::new(self.equiv),
-            self.schema.fast_validator_with(self.options),
-            self.decoder.scratch(),
-            JType::Bottom,
-            Vec::new(),
-        )
-    }
-
-    fn record(
-        &self,
-        (typer, validator, scratch, acc, verdicts): &mut Self::State,
-        line: &str,
-        record: usize,
-    ) -> Result<(), RecordIssue> {
-        let (ty, doc) = typer
-            .type_and_build_decoded(&self.decoder, scratch, line)
-            .map_err(RecordIssue::Parse)?;
-        let current = std::mem::replace(acc, JType::Bottom);
-        *acc = fuse(current, ty, self.equiv);
-        let verdict = if validator.is_valid(&doc) {
-            LineVerdict::Valid
-        } else {
-            LineVerdict::Invalid
-        };
-        verdicts.push((record, verdict));
-        Ok(())
-    }
-
-    fn finish(&self, (_, _, _, acc, verdicts): Self::State) -> Self::Out {
-        (acc, verdicts)
-    }
-
-    fn merge(&self, left: Self::Out, right: Self::Out) -> Self::Out {
-        let (lty, mut lverdicts) = left;
-        let (rty, rverdicts) = right;
-        lverdicts.extend(rverdicts);
-        (fuse(lty, rty, self.equiv), lverdicts)
-    }
-
-    fn take(&self, (_, _, _, acc, verdicts): &mut Self::State) -> Self::Out {
-        (
-            std::mem::replace(acc, JType::Bottom),
-            std::mem::take(verdicts),
-        )
-    }
+    let source = StreamSource::slice(ndjson);
+    let fault = FaultOptions::default();
+    inline_outcome(run_stage(
+        source,
+        &stage,
+        opts,
+        ChunkOptions::default(),
+        fault,
+        None,
+    ))
 }
 
 /// What a successful guarded combined pass yields: the fused collection
 /// type next to the per-record verdicts (original record indices).
 pub type TypedVerdicts = (JType, Vec<(usize, LineVerdict)>);
-
-/// The combined single-pass stage under an explicit
-/// [error policy](FaultOptions): the inferred type and the verdicts both
-/// cover exactly the accepted records, with rejects accounted in the
-/// [`RunReport`].
-pub fn infer_validate_streaming_guarded(
-    ndjson: &str,
-    equiv: Equivalence,
-    schema: &CompiledSchema,
-    options: ValidatorOptions,
-    opts: StreamingOptions,
-    fault: FaultOptions,
-) -> Result<(TypedVerdicts, RunReport), StreamError> {
-    let stage = InferValidateStage {
-        equiv,
-        schema,
-        options,
-        decoder: JsonDecoder::new().with_limits(fault.limits),
-    };
-    run_stage(ndjson, &stage, opts, fault)
-}
-
-/// The combined single-pass stage over any [`StreamSource`]; semantics
-/// match [`infer_validate_streaming_guarded`] on the same bytes, with
-/// readers streamed out-of-core under bounded resident memory.
-pub fn infer_validate_streaming_source<R: std::io::BufRead + Send>(
-    source: StreamSource<'_, R>,
-    equiv: Equivalence,
-    schema: &CompiledSchema,
-    options: ValidatorOptions,
-    opts: StreamingOptions,
-    chunk: ChunkOptions,
-    fault: FaultOptions,
-) -> Result<(TypedVerdicts, RunReport), StreamError> {
-    let stage = InferValidateStage {
-        equiv,
-        schema,
-        options,
-        decoder: JsonDecoder::new().with_limits(fault.limits),
-    };
-    run_stage_source(source, &stage, opts, chunk, fault)
-}
 
 /// The combined single-pass stage through an arbitrary
 /// [`RecordDecoder`]: one decode per accepted record feeds both the
@@ -1458,9 +1421,15 @@ pub fn infer_validate_streaming_decoded<R: std::io::BufRead + Send, D: RecordDec
         equiv,
         schema,
         options,
+        malformed_verdicts: false,
         decoder,
     };
-    run_stage_source(source, &stage, opts, chunk, fault)
+    let (outcome, report) = run_stage(source, &stage, opts, chunk, fault, None)?;
+    let ty = outcome.ty.map_err(|(record, e)| StreamError::Record {
+        record,
+        issue: RecordIssue::Parse(e),
+    })?;
+    Ok(((ty, outcome.verdicts), report))
 }
 
 // ---------------------------------------------------------------------------
@@ -1566,7 +1535,17 @@ pub fn translate_streaming_parallel(
     shredder: &Shredder,
     opts: StreamingOptions,
 ) -> Result<ColumnarBatch, (usize, TranslateLineError)> {
-    translate_parallel_impl(ndjson, shredder, opts, None)
+    let source = StreamSource::slice(ndjson);
+    let fault = FaultOptions::default();
+    let run = translate_streaming_source(
+        source,
+        shredder,
+        opts,
+        ChunkOptions::default(),
+        fault,
+        false,
+    );
+    fail_fast(run, translate_issue)
 }
 
 /// [`translate_streaming_parallel`] with the fused structural fast path enabled.
@@ -1583,31 +1562,17 @@ pub fn translate_streaming_parallel_fast(
     shredder: &Shredder,
     opts: StreamingOptions,
 ) -> Result<ColumnarBatch, (usize, TranslateLineError)> {
-    let fast = FastPlan::for_translation(shredder, &ParseLimits::default());
-    translate_parallel_impl(ndjson, shredder, opts, fast)
+    let source = StreamSource::slice(ndjson);
+    let fault = FaultOptions::default();
+    let run =
+        translate_streaming_source(source, shredder, opts, ChunkOptions::default(), fault, true);
+    fail_fast(run, translate_issue)
 }
 
-fn translate_parallel_impl(
-    ndjson: &str,
-    shredder: &Shredder,
-    opts: StreamingOptions,
-    fast: Option<FastPlan>,
-) -> Result<ColumnarBatch, (usize, TranslateLineError)> {
-    let stage = TranslateStage {
-        shredder,
-        decoder: FastJsonDecoder::new(fast, ParseLimits::default()),
-    };
-    match run_stage(ndjson, &stage, opts, FaultOptions::default()) {
-        Ok((batch, _report)) => Ok(batch),
-        Err(StreamError::Record { record, issue }) => Err((
-            record,
-            match issue {
-                RecordIssue::Parse(e) => TranslateLineError::Malformed(e),
-                RecordIssue::NotARecord => TranslateLineError::NotARecord,
-            },
-        )),
-        Err(StreamError::ShardPanicked(p)) => panic!("pipeline {p}"),
-        Err(e) => unreachable!("fail-fast translation produced {e:?}"),
+fn translate_issue(issue: RecordIssue) -> TranslateLineError {
+    match issue {
+        RecordIssue::Parse(e) => TranslateLineError::Malformed(e),
+        RecordIssue::NotARecord => TranslateLineError::NotARecord,
     }
 }
 
@@ -1622,7 +1587,15 @@ pub fn translate_streaming_guarded(
     opts: StreamingOptions,
     fault: FaultOptions,
 ) -> Result<(ColumnarBatch, RunReport), StreamError> {
-    translate_guarded_impl(ndjson, shredder, opts, fault, None)
+    let source = StreamSource::slice(ndjson);
+    translate_streaming_source(
+        source,
+        shredder,
+        opts,
+        ChunkOptions::default(),
+        fault,
+        false,
+    )
 }
 
 /// [`translate_streaming_guarded`] with the fused structural fast path enabled.
@@ -1638,22 +1611,8 @@ pub fn translate_streaming_guarded_fast(
     opts: StreamingOptions,
     fault: FaultOptions,
 ) -> Result<(ColumnarBatch, RunReport), StreamError> {
-    let fast = FastPlan::for_translation(shredder, &fault.limits);
-    translate_guarded_impl(ndjson, shredder, opts, fault, fast)
-}
-
-fn translate_guarded_impl(
-    ndjson: &str,
-    shredder: &Shredder,
-    opts: StreamingOptions,
-    fault: FaultOptions,
-    fast: Option<FastPlan>,
-) -> Result<(ColumnarBatch, RunReport), StreamError> {
-    let stage = TranslateStage {
-        shredder,
-        decoder: FastJsonDecoder::new(fast, fault.limits),
-    };
-    run_stage(ndjson, &stage, opts, fault)
+    let source = StreamSource::slice(ndjson);
+    translate_streaming_source(source, shredder, opts, ChunkOptions::default(), fault, true)
 }
 
 /// Streaming schema-driven translation over any [`StreamSource`];
@@ -1670,18 +1629,8 @@ pub fn translate_streaming_source<R: std::io::BufRead + Send>(
     fault: FaultOptions,
     fast: bool,
 ) -> Result<(ColumnarBatch, RunReport), StreamError> {
-    let stage = TranslateStage {
-        shredder,
-        decoder: FastJsonDecoder::new(
-            if fast {
-                FastPlan::for_translation(shredder, &fault.limits)
-            } else {
-                None
-            },
-            fault.limits,
-        ),
-    };
-    run_stage_source(source, &stage, opts, chunk, fault)
+    let decoder = FastJsonDecoder::for_translation(shredder, fast, fault.limits);
+    translate_streaming_decoded(source, decoder, shredder, opts, chunk, fault)
 }
 
 /// Streaming schema-driven translation through an arbitrary
@@ -1698,7 +1647,7 @@ pub fn translate_streaming_decoded<R: std::io::BufRead + Send, D: RecordDecoder>
     fault: FaultOptions,
 ) -> Result<(ColumnarBatch, RunReport), StreamError> {
     let stage = TranslateStage { shredder, decoder };
-    run_stage_source(source, &stage, opts, chunk, fault)
+    run_stage(source, &stage, opts, chunk, fault, None)
 }
 
 #[cfg(test)]
@@ -2203,13 +2152,15 @@ mod tests {
         lines[60] = "{\"i\": \"boom\"}".into();
         let ndjson = lines.join("\n") + "\n";
         let err = run_stage(
-            &ndjson,
+            StreamSource::slice(&ndjson),
             &PanicStage,
             StreamingOptions {
                 workers: 4,
                 min_shard_bytes: 32,
             },
+            ChunkOptions::default(),
             FaultOptions::default(),
+            None,
         )
         .unwrap_err();
         match err {
@@ -2226,13 +2177,15 @@ mod tests {
         lines[60] = "{\"i\": \"boom\"}".into();
         let ndjson = lines.join("\n") + "\n";
         let (seen, report) = run_stage(
-            &ndjson,
+            StreamSource::slice(&ndjson),
             &PanicStage,
             StreamingOptions {
                 workers: 4,
                 min_shard_bytes: 32,
             },
+            ChunkOptions::default(),
             skip_fault(ErrorPolicy::Skip { max_errors: None }),
+            None,
         )
         .unwrap();
         assert_eq!(report.poisoned.len(), 1, "one shard poisoned");

@@ -623,8 +623,8 @@ const MATRIX: &[MatrixCell] = &[
     ("infer-validate", "chunk", "dirty", 1, "", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
     ("infer-validate", "input", "dirty", 1, "", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
     ("infer-validate", "csv", "dirty", 1, "", "jsonx: line 4: trailing data after JSON value at line 1, column 5 (byte 4)\n"),
-    ("validate", "plain", "dirty", 1, "doc 1: /id: [type] expected integer, found string\n", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
-    ("validate", "workers", "dirty", 1, "doc 1: /id: [type] expected integer, found string\n", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
+    // validate / plain / dirty and validate / workers / dirty: see
+    // `in_memory_streaming_validate_fails_fast_like_every_other_mode`.
     ("validate", "skip", "dirty", 1, "doc 1: /id: [type] expected integer, found string\n", "» 1 diagnostics quarantined to {Q}\n» 2/3 documents valid (streaming), 1 rejected\njsonx: 1 invalid documents\n"),
     ("validate", "chunk", "dirty", 1, "", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
     ("validate", "input", "dirty", 1, "", "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n"),
@@ -677,5 +677,110 @@ fn streaming_commands_characterised_in_every_mode() {
         assert_eq!(status, code, "{cell}: exit code (stderr: {err})");
         assert_eq!(out, stdout, "{cell}: stdout");
         assert_eq!(err, stderr.replace("{Q}", &quarantine), "{cell}: stderr");
+    }
+}
+
+/// The cell the characterisation matrix leaves out. With no fault flag,
+/// in-memory `validate --streaming` fails fast on the first malformed
+/// line before printing any verdict, exactly as `--on-error fail` (the
+/// documented default), `--input` and `--chunk-bytes` do on the same
+/// bytes: the same exit code and message, and no verdicts for the
+/// invalid lines that precede it.
+#[test]
+fn in_memory_streaming_validate_fails_fast_like_every_other_mode() {
+    let dir = ScratchDir::new("failfast");
+    dir.write("schema.json", MATRIX_SCHEMA);
+    for (name, text) in MATRIX_FIXTURES {
+        dir.write(name, text);
+    }
+    let failed = "jsonx: line 4: unexpected character 'b' at line 1, column 2 (byte 1)\n";
+    for mode in ["plain", "workers"] {
+        let args = matrix_args(&dir, "validate", mode, "dirty");
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let (out, err, code) = run_status(&args);
+        assert_eq!(code, 1, "{mode}: {err}");
+        assert_eq!(out, "", "{mode}: no verdict precedes the malformed line");
+        assert_eq!(err, failed, "{mode}");
+        let mut explicit = args.clone();
+        explicit.splice(1..1, ["--on-error", "fail"]);
+        assert_eq!(run_status(&explicit), (out, err, code), "{mode}");
+    }
+}
+
+#[test]
+fn diagnostics_reparse_deep_records_under_the_runs_limits() {
+    let dir = ScratchDir::new("deep");
+    let schema = dir.write("schema.json", r#"{"properties":{"id":{"type":"integer"}}}"#);
+    // Deeper than the default depth limit, within the run's --max-depth.
+    let record = format!(
+        "{{\"id\":\"x\",\"deep\":{}1{}}}\n",
+        "[".repeat(150),
+        "]".repeat(150)
+    );
+    let corpus = dir.write("deep.ndjson", record);
+    let (out, err, code) = run_status(&[
+        "validate",
+        "--streaming",
+        "--schema",
+        &schema,
+        "--max-depth",
+        "500",
+        &corpus,
+    ]);
+    assert_eq!(code, 1, "validate: {err}");
+    assert!(out.starts_with("doc 0: "), "validate: {out}");
+    // The combined pass reports the same diagnostic and still succeeds.
+    let (out, err, code) = run_status(&[
+        "infer",
+        "--validate",
+        &schema,
+        "--max-depth",
+        "500",
+        &corpus,
+    ]);
+    assert_eq!(code, 0, "infer --validate: {err}");
+    assert!(out.starts_with("doc 0: "), "infer --validate: {out}");
+}
+
+#[test]
+fn non_utf8_input_is_malformed_data_on_every_path() {
+    let dir = ScratchDir::new("utf8");
+    let schema = dir.write("schema.json", r#"{"type":"object"}"#);
+    let corpus = dir.write("bad.ndjson", b"{\"id\":1}\n{\"id\":\"\xff\"}\n");
+    let csv = dir.write("bad.csv", b"id,n\xffame\n1,a\n");
+    let jxc = dir.path("out.jxc");
+    let journal = dir.path("run.journal");
+    let cases: [&[&str]; 10] = [
+        &["infer", "--streaming", &corpus],
+        &["infer", "--input", &corpus],
+        &["infer", "--input", &corpus, "--checkpoint", &journal],
+        &["infer", "--format", "csv", "--input", &csv],
+        &["validate", "--streaming", "--schema", &schema, &corpus],
+        &["validate", "--schema", &schema, "--input", &corpus],
+        &[
+            "validate",
+            "--schema",
+            &schema,
+            "--input",
+            &corpus,
+            "--checkpoint",
+            &journal,
+        ],
+        &["translate", "--streaming", &corpus],
+        &["translate", "--input", &corpus],
+        &[
+            "translate",
+            "--input",
+            &corpus,
+            "--out",
+            &jxc,
+            "--checkpoint",
+            &journal,
+        ],
+    ];
+    for args in cases {
+        let (_, err, code) = run_status(args);
+        assert_eq!(code, 1, "{args:?}: {err}");
+        assert!(err.contains("UTF-8"), "{args:?}: {err}");
     }
 }
