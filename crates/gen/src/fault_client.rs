@@ -39,10 +39,11 @@ impl LineClient {
         Ok(LineClient { stream, reader })
     }
 
-    /// Sends one frame (newline appended).
+    /// Sends one frame (newline appended) in one write, so Nagle's
+    /// algorithm never holds a lone newline back for the server's
+    /// delayed acknowledgement.
     pub fn send(&mut self, line: &str) -> std::io::Result<()> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")
+        self.stream.write_all(format!("{line}\n").as_bytes())
     }
 
     /// Reads one response line (newline stripped). `Ok(None)` on EOF —
@@ -133,14 +134,14 @@ pub fn send_raw(addr: SocketAddr, bytes: &[u8]) -> std::io::Result<Option<String
     }
 }
 
-/// Writes every frame before reading any responses — the burst shape
-/// that fills a bounded queue — then collects one response per frame
-/// (stopping early if the server closes). Returns the response lines.
+/// Writes every frame in one write before reading any responses — the
+/// burst shape that fills a bounded queue — then collects one response
+/// per frame (stopping early if the server closes). Returns the response
+/// lines.
 pub fn pipeline(addr: SocketAddr, frames: &[String]) -> std::io::Result<Vec<String>> {
     let mut client = LineClient::connect(addr)?;
-    for frame in frames {
-        client.send(frame)?;
-    }
+    let burst: String = frames.iter().map(|frame| format!("{frame}\n")).collect();
+    client.stream.write_all(burst.as_bytes())?;
     let mut responses = Vec::new();
     for _ in frames {
         match client.read_response()? {

@@ -42,7 +42,9 @@ pub(crate) struct Job {
     /// Owning connection (reported as `shard` in panic provenance).
     pub(crate) conn: usize,
     pub(crate) enqueued: Instant,
-    /// Rendezvous channel back to the connection thread.
+    /// One-slot reply channel back to the connection, whose FIFO of
+    /// owed replies holds the receiving end until the connection next
+    /// drains; the worker's send never blocks.
     pub(crate) reply: SyncSender<Response>,
 }
 

@@ -25,16 +25,19 @@
 //!   `catch_unwind` (the engine's machinery, reporting through the same
 //!   [`ShardPanic`](jsonx_pipeline::ShardPanic) shape); a poisoned
 //!   request closes its own connection and the daemon keeps serving.
+//! * **Pipelined connections**: a connection admits every frame it has
+//!   already read, up to its fair share of the queue, and answers them in
+//!   request order with one socket write per drained batch.
 //! * **Graceful shutdown**: `SHUTDOWN` stops the acceptor, lets every
-//!   connection finish its current frame, drains the queue, and emits a
-//!   final aggregated [`FinalReport`] whose embedded
+//!   connection answer the requests it has in flight, drains the queue,
+//!   and emits a final aggregated [`FinalReport`] whose embedded
 //!   [`RunReport`](jsonx_pipeline::RunReport) reconciles every accepted
 //!   request against every response sent.
 //!
 //! The protocol is deliberately minimal — one request per line, one JSON
-//! response line back (see [`protocol`]) — so the fault-injection harness
-//! can drive it from a few lines of test code and misbehaving clients are
-//! easy to write on purpose.
+//! response line back, in request order (see [`protocol`]) — so the
+//! fault-injection harness can drive it from a few lines of test code and
+//! misbehaving clients are easy to write on purpose.
 
 mod cache;
 mod conn;
@@ -174,6 +177,9 @@ pub(crate) struct Shared {
     pub(crate) stats: Mutex<stats::Counters>,
     pub(crate) shutdown: AtomicBool,
     pub(crate) next_seq: AtomicUsize,
+    /// Connections being handled right now; a connection's share of the
+    /// queue is the queue depth divided by this.
+    pub(crate) live_conns: AtomicUsize,
     pub(crate) local_addr: Mutex<Option<SocketAddr>>,
 }
 
@@ -221,6 +227,7 @@ impl Server {
             stats: Mutex::new(stats::Counters::default()),
             shutdown: AtomicBool::new(false),
             next_seq: AtomicUsize::new(0),
+            live_conns: AtomicUsize::new(0),
             local_addr: Mutex::new(local),
         });
         Ok(Server {
@@ -238,9 +245,9 @@ impl Server {
 
     /// Serves until a `SHUTDOWN` verb arrives: accepts connections,
     /// spawns one handler thread per connection, then drains — the
-    /// acceptor stops, connection threads finish their current frames,
-    /// the worker pool empties the queue — and returns the aggregated
-    /// final report.
+    /// acceptor stops, connection threads answer what they have in
+    /// flight, the worker pool empties the queue — and returns the
+    /// aggregated final report.
     pub fn run(self) -> FinalReport {
         let Server {
             listener,
@@ -282,8 +289,10 @@ impl Server {
             next_conn += 1;
             let shared = Arc::clone(&shared);
             let tx = tx.clone();
+            shared.live_conns.fetch_add(1, Ordering::Relaxed);
             conns.push(std::thread::spawn(move || {
                 conn::handle_conn(&shared, &tx, stream, conn_id);
+                shared.live_conns.fetch_sub(1, Ordering::Relaxed);
             }));
         }
         // Drain: the acceptor's sender drops first, each connection

@@ -12,11 +12,12 @@
 //! SHUTDOWN
 //! ```
 //!
-//! Every line gets exactly one JSON object back. Successes carry
-//! `"ok": true` plus per-op fields; failures carry `"ok": false`, a
-//! stable machine-readable `"kind"` (the batch pipeline's
-//! [`ParseErrorKind::label`](jsonx_syntax::ParseErrorKind::label) values
-//! for payload rejections, plus the service kinds below), and a
+//! Every line gets exactly one JSON object back, in request order, so a
+//! client may pipeline: write many lines before reading any replies.
+//! Successes carry `"ok": true` plus per-op fields; failures carry
+//! `"ok": false`, a stable machine-readable `"kind"` (the batch
+//! pipeline's [`ParseErrorKind::label`](jsonx_syntax::ParseErrorKind::label)
+//! values for payload rejections, plus the service kinds below), and a
 //! human-readable `"error"`:
 //!
 //! ```text

@@ -547,3 +547,159 @@ fn connection_cap_refuses_with_busy() {
     let report = shutdown(addr, handle);
     assert_eq!(report.refused, 1);
 }
+
+/// `VALIDATE` frames alternating valid and invalid documents under
+/// [`SCHEMA`], with the verdict each must get.
+fn verdict_frames(n: usize) -> Vec<(String, &'static str)> {
+    (0..n)
+        .map(|i| {
+            if i % 3 == 1 {
+                (format!("VALIDATE {{\"id\": \"s{i}\"}}"), "invalid")
+            } else {
+                (format!("VALIDATE {{\"id\": {i}}}"), "valid")
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn one_connection_pipelines_past_a_tiny_queue_without_shedding() {
+    let (addr, handle) = start(ServeConfig {
+        schema_path: Some(schema_file("window", SCHEMA)),
+        queue_depth: 2,
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let expected = verdict_frames(64);
+    let frames: Vec<String> = expected.iter().map(|(f, _)| f.clone()).collect();
+    let responses = pipeline(addr, &frames).unwrap();
+    assert_eq!(responses.len(), frames.len());
+    for ((frame, verdict), resp) in expected.iter().zip(&responses) {
+        let doc = response_json(resp);
+        assert_eq!(
+            field(&doc, "verdict").as_str(),
+            Some(*verdict),
+            "{frame}: {resp}"
+        );
+    }
+    let report = shutdown(addr, handle);
+    assert_eq!(report.shed, 0, "{report:?}");
+    assert_eq!(report.report.records, frames.len());
+}
+
+#[test]
+fn a_pipelined_stats_counts_every_earlier_request() {
+    let (addr, handle) = start(ServeConfig {
+        schema_path: Some(schema_file("stats-barrier", SCHEMA)),
+        ..ServeConfig::default()
+    });
+    let mut frames: Vec<String> = (0..5)
+        .map(|i| format!("VALIDATE {{\"id\": {i}}}"))
+        .collect();
+    frames.push("STATS".to_string());
+    frames.push(r#"VALIDATE {"id": "late"}"#.to_string());
+    let responses = pipeline(addr, &frames).unwrap();
+    assert_eq!(responses.len(), frames.len());
+    for resp in &responses[..5] {
+        let doc = response_json(resp);
+        assert_eq!(field(&doc, "verdict").as_str(), Some("valid"), "{resp}");
+    }
+    let stats = response_json(&responses[5]);
+    assert_eq!(
+        field(&stats, "op").as_str(),
+        Some("stats"),
+        "{}",
+        responses[5]
+    );
+    let processed = field(&stats, "processed").as_i64().unwrap();
+    assert!(processed >= 5, "{}", responses[5]);
+    let last = response_json(&responses[6]);
+    assert_eq!(
+        field(&last, "verdict").as_str(),
+        Some("invalid"),
+        "{}",
+        responses[6]
+    );
+    let report = shutdown(addr, handle);
+    assert_eq!(report.report.records, 6);
+}
+
+#[test]
+fn nothing_queued_behind_a_pipelined_panic_is_processed() {
+    let (addr, handle) = start(ServeConfig {
+        schema_path: Some(schema_file("boom-barrier", SCHEMA)),
+        debug_faults: true,
+        ..ServeConfig::default()
+    });
+    let frames: Vec<String> = [
+        r#"VALIDATE {"id": 1}"#,
+        "BOOM",
+        r#"VALIDATE {"id": 2}"#,
+        r#"VALIDATE {"id": 3}"#,
+        r#"VALIDATE {"id": 4}"#,
+    ]
+    .iter()
+    .map(|f| f.to_string())
+    .collect();
+    let responses = pipeline(addr, &frames).unwrap();
+    assert_eq!(responses.len(), 2, "{responses:?}");
+    let first = response_json(&responses[0]);
+    assert_eq!(
+        field(&first, "verdict").as_str(),
+        Some("valid"),
+        "{}",
+        responses[0]
+    );
+    let second = response_json(&responses[1]);
+    assert_eq!(
+        field(&second, "kind").as_str(),
+        Some("panic"),
+        "{}",
+        responses[1]
+    );
+    let report = shutdown(addr, handle);
+    assert_eq!(report.report.records, 1, "{report:?}");
+    assert_eq!(report.report.poisoned.len(), 1);
+}
+
+#[test]
+fn a_serial_client_is_never_shed_by_a_pipelined_burst() {
+    let (addr, handle) = start(ServeConfig {
+        schema_path: Some(schema_file("fair-share", SCHEMA)),
+        queue_depth: 4,
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut serial = LineClient::connect(addr).unwrap();
+    // One round trip: the serial connection is live before the burst.
+    assert!(serial
+        .request("PING")
+        .unwrap()
+        .unwrap()
+        .contains("\"ok\":true"));
+    let expected = verdict_frames(400);
+    let frames: Vec<String> = expected.iter().map(|(f, _)| f.clone()).collect();
+    let burst = std::thread::spawn(move || pipeline(addr, &frames).unwrap());
+    for i in 0..100 {
+        let resp = serial
+            .request(&format!("VALIDATE {{\"id\": {i}}}"))
+            .unwrap()
+            .unwrap();
+        let doc = response_json(&resp);
+        assert_eq!(field(&doc, "verdict").as_str(), Some("valid"), "{resp}");
+    }
+    let responses = burst.join().unwrap();
+    assert_eq!(responses.len(), expected.len());
+    for ((frame, verdict), resp) in expected.iter().zip(&responses) {
+        let doc = response_json(resp);
+        assert_eq!(
+            field(&doc, "verdict").as_str(),
+            Some(*verdict),
+            "{frame}: {resp}"
+        );
+    }
+    drop(serial);
+    let report = shutdown(addr, handle);
+    assert_eq!(report.shed, 0, "{report:?}");
+    assert_eq!(report.report.records, 500);
+}
